@@ -228,32 +228,31 @@ def validate_algebra(algebra: Algebra) -> CheckReport:
             break
     results.append(CheckResult("unit", unit_ok, witness))
 
-    assoc_ok = True
+    n = algebra.dim
+    prods = algebra.basis_products
+    by_right = [[prods[m][k] for m in range(n)] for k in range(n)]  # e_m * e_k by k, m
+
+    def expand(terms, products):
+        """sum_m c_m products[m] as a sparse {k: coefficient} map, zeros dropped."""
+        out = {}
+        for m, c in terms:
+            for k, ck in products[m]:
+                v = F.mul(c, ck)
+                out[k] = F.add(out[k], v) if k in out else v
+        return {k: v for k, v in out.items() if v}
+
     witness = None
-    for i in range(algebra.dim):
-        ei = [F.zero] * algebra.dim
-        ei[i] = F.one
-        for j in range(algebra.dim):
-            ej = [F.zero] * algebra.dim
-            ej[j] = F.one
-            ij = algebra.mul_coords(ei, ej)
-            for k in range(algebra.dim):
-                ek = [F.zero] * algebra.dim
-                ek[k] = F.one
-                lhs = algebra.mul_coords(ij, ek)
-                rhs = algebra.mul_coords(ei, algebra.mul_coords(ej, ek))
-                if lhs != rhs:
-                    assoc_ok = False
-                    witness = (
-                        f"(e_{i}e_{j})e_{k} = {[fmt(c) for c in lhs]} != "
-                        f"e_{i}(e_{j}e_{k}) = {[fmt(c) for c in rhs]}"
-                    )
-                    break
-            if not assoc_ok:
-                break
-        if not assoc_ok:
+    for i, j, k in ((i, j, k) for i in range(n) for j in range(n) for k in range(n)):
+        lhs = expand(prods[i][j], by_right[k])  # (e_i e_j) e_k
+        rhs = expand(prods[j][k], prods[i])     # e_i (e_j e_k)
+        if lhs != rhs:
+            dense = [[fmt(side.get(t, F.zero)) for t in range(n)] for side in (lhs, rhs)]
+            witness = (
+                f"(e_{i}e_{j})e_{k} = {dense[0]} != "
+                f"e_{i}(e_{j}e_{k}) = {dense[1]}"
+            )
             break
-    results.append(CheckResult("associativity", assoc_ok, witness))
+    results.append(CheckResult("associativity", witness is None, witness))
 
     report = CheckReport(results)
     algebra._validation = report

@@ -363,7 +363,7 @@ def braiding_ambient(cert: RMatrixCertificate, M: Bimodule, N: Bimodule) -> Matr
     # group by the leg acting on M so only one Kronecker product per
     # algebra basis element is formed
     n_ops: dict[int, Matrix] = {}
-    for _, (i, j, k), c in cert.r.iter_nonzero():
+    for (i, j, k), c in cert.r.iter_nonzero():
         term = (N.left[i] @ N.right[j]).scale(c)
         n_ops[k] = term if k not in n_ops else n_ops[k] + term
     big = Matrix.zeros(F, N.dim * M.dim, N.dim * M.dim)
@@ -450,7 +450,7 @@ def zeta_map(cert: RMatrixCertificate, M: Bimodule) -> Matrix:
     inv = invariants(M)
     tdim = len(inv)
     ops: dict[int, Matrix] = {}
-    for _, (i, j, k), c in cert.r.iter_nonzero():
+    for (i, j, k), c in cert.r.iter_nonzero():
         term = (M.left[j] @ M.right[k]).scale(c)
         ops[i] = term if i not in ops else ops[i] + term
     targets = []

@@ -127,6 +127,9 @@ def _extract_tensor_json(obj) -> dict:
     """Accept a raw tensor, a certificate, or a whole solve report."""
     if isinstance(obj, dict):
         if "coeffs" in obj and "arity" in obj:
+            arity = obj["arity"]
+            if type(arity) is not int or arity != 3:
+                raise ParseError(f"R-matrix tensor: arity must be 3, got {arity!r}")
             return obj
         if "r" in obj:
             return _extract_tensor_json(obj["r"])

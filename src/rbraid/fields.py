@@ -18,14 +18,32 @@ from .errors import DescriptorMismatch, DivisionByZero, ParseError
 _SCALAR_RE = re.compile(r"([+-]?\d+)(?:/(\d+))?\Z")
 
 
+# Miller-Rabin with the first 13 primes as bases is exact below this bound
+# (Sorenson & Webster 2015, psi_13 = 3317044064679887385961981).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_BOUND = 3317044064679887385961981
+
+
 def _is_prime(p: int) -> bool:
+    """Deterministic primality test for 0 <= p < _MR_BOUND."""
     if p < 2:
         return False
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
+    for q in _MR_BASES:
+        if p % q == 0:
+            return p == q
+    d, s = p - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _MR_BASES:
+        x = pow(a, d, p)
+        if x == 1 or x == p - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
             return False
-        d += 1
     return True
 
 
@@ -135,6 +153,8 @@ class PrimeField(Field):
     kind = "GF"
 
     def __init__(self, p: int):
+        if p >= _MR_BOUND:
+            raise ParseError(f"modulus {p} is above the supported bound {_MR_BOUND}")
         if not _is_prime(p):
             raise ParseError(f"modulus {p} is not prime")
         self.p = p

@@ -186,16 +186,15 @@ def solve_rmatrix(A: Algebra, size_cap: int | None = DEFAULT_SIZE_CAP):
         raise NonUniqueSolution(
             f"{A.label}: affine solution set has dimension {solution.dimension}"
         )
-    coeffs = [F.zero] * (n ** 3)
+    terms = []
     for j in range(n):
         for t in range(wdim):
             x_jt = solution.particular[j * wdim + t]
             if x_jt == F.zero:
                 continue
-            base = j * n * n
             for xy, v in w_nonzeros[t]:
-                coeffs[base + xy] = F.add(coeffs[base + xy], F.mul(x_jt, v))
-    r = TensorElement(A, 3, coeffs)
+                terms.append(((j,) + divmod(xy, n), F.mul(x_jt, v)))
+    r = TensorElement.from_terms(A, 3, terms)
     info = SolverInfo(w_dim=wdim, unknowns=unknowns, solution_dim=0)
     return _certify(A, r, info)
 
@@ -207,11 +206,20 @@ def _certify(A: Algebra, r: TensorElement, info: SolverInfo | None) -> RMatrixCe
 
 
 def _first_diff(lhs: TensorElement, rhs: TensorElement) -> str:
-    fmt = lhs.algebra.field.format
-    for idx, (a, b) in enumerate(zip(lhs.coeffs, rhs.coeffs)):
+    """The first monomial, in sorted digit order, where the two differ."""
+    F = lhs.algebra.field
+    for digits in sorted(lhs.coeffs.keys() | rhs.coeffs.keys()):
+        a = lhs.coeffs.get(digits, F.zero)
+        b = rhs.coeffs.get(digits, F.zero)
         if a != b:
-            return f"monomial {lhs.digits_of(idx)}: {fmt(a)} != {fmt(b)}"
+            return f"monomial {digits}: {F.format(a)} != {F.format(b)}"
     return "equal"
+
+
+def _eq_check(name: str, lhs: TensorElement, rhs: TensorElement) -> CheckResult:
+    if lhs == rhs:
+        return CheckResult(name, True)
+    return CheckResult(name, False, _first_diff(lhs, rhs))
 
 
 def _centralizing_check(name, A, R, leg_left, leg_right):
@@ -233,36 +241,36 @@ def _literal_pair_product(R, slots_a, slots_b):
     """
     A = R.algebra
     F = A.field
-    out = TensorElement.zero(A, 4)
-    nz = list(R.iter_nonzero())
-    occupied = set(slots_a) | set(slots_b)
-    assert occupied == {1, 2, 3, 4}
-    for _, da, ca in nz:
-        for _, db, cb in nz:
-            partial = [([0, 0, 0, 0], F.mul(ca, cb))]
-            for s in range(1, 5):
-                in_a = s in slots_a
-                in_b = s in slots_b
-                if in_a and in_b:
-                    x = da[slots_a.index(s)]
-                    y = db[slots_b.index(s)]
-                    nxt = []
-                    for digs, c in partial:
-                        for k, ck in A.basis_products[x][y]:
-                            nd = list(digs)
-                            nd[s - 1] = k
-                            nxt.append((nd, F.mul(c, ck)))
-                    partial = nxt
-                else:
-                    d = da[slots_a.index(s)] if in_a else db[slots_b.index(s)]
-                    for digs, _ in partial:
-                        digs[s - 1] = d
-                if not partial:
-                    break
-            for digs, c in partial:
-                idx = out.index_of(digs)
-                out.coeffs[idx] = F.add(out.coeffs[idx], c)
-    return out
+    prods = A.basis_products
+    assert set(slots_a) | set(slots_b) == {1, 2, 3, 4}
+    # (position, index in the first factor, index in the second factor)
+    shared = [(s - 1, slots_a.index(s), slots_b.index(s))
+              for s in range(1, 5) if s in slots_a and s in slots_b]
+    only_a = [(s - 1, slots_a.index(s)) for s in range(1, 5) if s not in slots_b]
+    only_b = [(s - 1, slots_b.index(s)) for s in range(1, 5) if s not in slots_a]
+    nz = list(R.coeffs.items())
+    terms = []
+    for da, ca in nz:
+        for db, cb in nz:
+            leg_products = [prods[da[x]][db[y]] for _, x, y in shared]
+            if not all(leg_products):
+                continue  # a shared slot multiplies to zero
+            base = [0, 0, 0, 0]
+            for pos, x in only_a:
+                base[pos] = da[x]
+            for pos, y in only_b:
+                base[pos] = db[y]
+            partial = [(base, F.mul(ca, cb))]
+            for (pos, _, _), leg in zip(shared, leg_products):
+                nxt = []
+                for digs, c in partial:
+                    for k, ck in leg:
+                        nd = list(digs)
+                        nd[pos] = k
+                        nxt.append((nd, F.mul(c, ck)))
+                partial = nxt
+            terms.extend(partial)
+    return TensorElement.from_terms(A, 4, terms)
 
 
 def verify_rmatrix(A: Algebra, R: TensorElement) -> CheckReport:
@@ -282,71 +290,30 @@ def verify_rmatrix(A: Algebra, R: TensorElement) -> CheckReport:
     A.check_same(R.algebra)
     if R.arity != 3:
         raise ArityMismatch(f"expected arity 3, got {R.arity}")
-    results = []
     unit2 = unit_tensor(A, 2)
     unit3 = unit_tensor(A, 3)
-
-    results.append(_centralizing_check("c1", A, R, 3, 1))
-    results.append(_centralizing_check("c2", A, R, 1, 2))
-    results.append(_centralizing_check("c3", A, R, 2, 3))
-
-    lhs_h1 = R.embed_legs(4, (1, 2, 4))
-    rhs_h1 = _literal_pair_product(R, (1, 2, 3), (1, 3, 4))
-    results.append(
-        CheckResult("h1", lhs_h1 == rhs_h1,
-                    None if lhs_h1 == rhs_h1 else _first_diff(lhs_h1, rhs_h1))
-    )
-    lhs_h2 = R.embed_legs(4, (1, 3, 4))
-    rhs_h2 = _literal_pair_product(R, (1, 2, 4), (2, 3, 4))
-    results.append(
-        CheckResult("h2", lhs_h2 == rhs_h2,
-                    None if lhs_h2 == rhs_h2 else _first_diff(lhs_h2, rhs_h2))
-    )
-
     s = R.permute_legs(_SWAP12)
-    rs = tensor_mul(R, s)
-    sr = tensor_mul(s, R)
-    results.append(
-        CheckResult("inv1", rs == unit3, None if rs == unit3 else _first_diff(rs, unit3))
-    )
-    results.append(
-        CheckResult("inv2", sr == unit3, None if sr == unit3 else _first_diff(sr, unit3))
-    )
-
-    n1 = R.contract_legs(1)
-    results.append(
-        CheckResult("n1", n1 == unit2, None if n1 == unit2 else _first_diff(n1, unit2))
-    )
     cyc231 = R.permute_legs(_CYCLE_231)
-    n2 = cyc231.contract_legs(2)
-    results.append(
-        CheckResult("n2", n2 == unit2, None if n2 == unit2 else _first_diff(n2, unit2))
-    )
-    n3 = R.contract_legs(2)
-    results.append(
-        CheckResult("n3", n3 == unit2, None if n3 == unit2 else _first_diff(n3, unit2))
-    )
-
-    results.append(
-        CheckResult("cyc1", cyc231 == R, None if cyc231 == R else _first_diff(cyc231, R))
-    )
-    cyc312 = R.permute_legs(_CYCLE_312)
-    results.append(
-        CheckResult("cyc2", cyc312 == R, None if cyc312 == R else _first_diff(cyc312, R))
-    )
-
     r123 = R.embed_legs(4, (1, 2, 3))
     r124 = R.embed_legs(4, (1, 2, 4))
     r134 = R.embed_legs(4, (1, 3, 4))
     r234 = R.embed_legs(4, (2, 3, 4))
-    q1 = tensor_mul(r123, r134)
-    results.append(
-        CheckResult("q1", q1 == r124, None if q1 == r124 else _first_diff(q1, r124))
-    )
-    q2 = tensor_mul(r124, r234)
-    results.append(
-        CheckResult("q2", q2 == r134, None if q2 == r134 else _first_diff(q2, r134))
-    )
+    results = [
+        _centralizing_check("c1", A, R, 3, 1),
+        _centralizing_check("c2", A, R, 1, 2),
+        _centralizing_check("c3", A, R, 2, 3),
+        _eq_check("h1", r124, _literal_pair_product(R, (1, 2, 3), (1, 3, 4))),
+        _eq_check("h2", r134, _literal_pair_product(R, (1, 2, 4), (2, 3, 4))),
+        _eq_check("inv1", tensor_mul(R, s), unit3),
+        _eq_check("inv2", tensor_mul(s, R), unit3),
+        _eq_check("n1", R.contract_legs(1), unit2),
+        _eq_check("n2", cyc231.contract_legs(2), unit2),
+        _eq_check("n3", R.contract_legs(2), unit2),
+        _eq_check("cyc1", cyc231, R),
+        _eq_check("cyc2", R.permute_legs(_CYCLE_312), R),
+        _eq_check("q1", tensor_mul(r123, r134), r124),
+        _eq_check("q2", tensor_mul(r124, r234), r134),
+    ]
     return CheckReport(results)
 
 
@@ -403,8 +370,8 @@ def tensor_rmatrix(
     F = prod.field
     nB = B.dim
     terms = []
-    for _, da, ca in cert_a.r.iter_nonzero():
-        for _, db, cb in cert_b.r.iter_nonzero():
+    for da, ca in cert_a.r.coeffs.items():
+        for db, cb in cert_b.r.coeffs.items():
             digits = tuple(x * nB + y for x, y in zip(da, db))
             terms.append((digits, F.mul(ca, cb)))
     t = TensorElement.from_terms(prod, 3, terms)

@@ -1,11 +1,12 @@
 """Calculus of elements of n-fold tensor powers of an algebra.
 
-A TensorElement of arity m over an algebra of dimension n is a dense
-coefficient vector of length n^m; the basis monomial
-e_{i1} (x) ... (x) e_{im} sits at index sum(i_t * n^(m-t)), i.e. leg 1 is
-the most significant digit.  Operations iterate over nonzero monomials
-only, so products in a 16-dimensional algebra's fourth tensor power stay
-cheap even though the dense vector has 65536 slots.
+A TensorElement of arity m over an algebra of dimension n is a sparse map
+from basis monomials to coefficients: the key (i1, .., im) stands for
+e_{i1} (x) ... (x) e_{im} and only nonzero coefficients are stored, so
+two elements are equal exactly when their maps are.  Serialization and
+failure witnesses walk the monomials in sorted digit order (leg 1 most
+significant).  `tensor_mul` joins the two factors leg by leg and never
+expands a pair of monomials whose product vanishes on some leg.
 """
 from __future__ import annotations
 
@@ -15,74 +16,84 @@ from .errors import (
     BadPermutation,
     BadSlots,
     LegOutOfRange,
+    ParseError,
     ShapeMismatch,
 )
 
 
+def _accumulate(out: dict, key, c, add) -> None:
+    prev = out.get(key)
+    out[key] = c if prev is None else add(prev, c)
+
+
+def _pruned(out: dict) -> dict:
+    return {key: c for key, c in out.items() if c}
+
+
+def _marked(terms, one) -> tuple:
+    """(k, c) terms with a coefficient equal to one replaced by None, so
+    that hot loops skip the multiplication by it."""
+    return tuple((k, None if c == one else c) for k, c in terms)
+
+
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _check_digits(n: int, arity: int, digits: tuple) -> None:
+    if len(digits) != arity:
+        raise ShapeMismatch(f"{len(digits)} digits for arity {arity}")
+    for d in digits:
+        if not 0 <= d < n:
+            raise ShapeMismatch(f"basis index {d} out of range")
+
+
 class TensorElement:
-    """Element of the m-fold tensor power of a fixed algebra."""
+    """Element of the m-fold tensor power of a fixed algebra.
+
+    `coeffs` maps digit tuples of length `arity` to nonzero canonical
+    scalars.  The constructor takes the map over as it is; `from_terms`
+    and `from_json` check the digits.
+    """
 
     __slots__ = ("algebra", "arity", "coeffs")
 
-    def __init__(self, algebra: Algebra, arity: int, coeffs):
+    def __init__(self, algebra: Algebra, arity: int, coeffs: dict):
         if arity < 1:
             raise ShapeMismatch("arity must be >= 1")
-        size = algebra.dim ** arity
-        if len(coeffs) != size:
-            raise ShapeMismatch(f"{len(coeffs)} coefficients, expected {size}")
         self.algebra = algebra
         self.arity = arity
-        self.coeffs = list(coeffs)
+        self.coeffs = coeffs
 
     # -- constructors -------------------------------------------------------
 
     @classmethod
-    def zero(cls, algebra: Algebra, arity: int) -> "TensorElement":
-        return cls(algebra, arity, [algebra.field.zero] * (algebra.dim ** arity))
-
-    @classmethod
     def from_terms(cls, algebra: Algebra, arity: int, terms) -> "TensorElement":
         """Build from an iterable of (digits, coefficient) pairs."""
-        out = cls.zero(algebra, arity)
-        F = algebra.field
+        add = algebra.field.add
+        out = {}
         for digits, c in terms:
-            idx = out.index_of(digits)
-            out.coeffs[idx] = F.add(out.coeffs[idx], c)
-        return out
+            digits = tuple(digits)
+            _check_digits(algebra.dim, arity, digits)
+            _accumulate(out, digits, c, add)
+        return cls(algebra, arity, _pruned(out))
 
-    # -- indexing -------------------------------------------------------------
-
-    def index_of(self, digits) -> int:
-        n = self.algebra.dim
-        if len(digits) != self.arity:
-            raise ShapeMismatch(f"{len(digits)} digits for arity {self.arity}")
-        idx = 0
-        for d in digits:
-            if not 0 <= d < n:
-                raise ShapeMismatch(f"basis index {d} out of range")
-            idx = idx * n + d
-        return idx
-
-    def digits_of(self, index: int):
-        n = self.algebra.dim
-        out = [0] * self.arity
-        for t in range(self.arity - 1, -1, -1):
-            index, out[t] = divmod(index, n)
-        return tuple(out)
+    # -- access -------------------------------------------------------------
 
     def iter_nonzero(self):
-        for idx, c in enumerate(self.coeffs):
-            if c:
-                yield idx, self.digits_of(idx), c
+        """(digits, coefficient) pairs in sorted digit order."""
+        return iter(sorted(self.coeffs.items()))
 
     def nnz(self) -> int:
-        return sum(1 for c in self.coeffs if c)
+        return len(self.coeffs)
 
     def coefficient(self, digits):
-        return self.coeffs[self.index_of(digits)]
+        digits = tuple(digits)
+        _check_digits(self.algebra.dim, self.arity, digits)
+        return self.coeffs.get(digits, self.algebra.field.zero)
 
     def is_zero(self) -> bool:
-        return not any(self.coeffs)
+        return not self.coeffs
 
     # -- linear structure -------------------------------------------------------
 
@@ -93,27 +104,27 @@ class TensorElement:
 
     def __add__(self, other):
         self._check_compatible(other)
-        F = self.algebra.field
-        return TensorElement(
-            self.algebra, self.arity,
-            [F.add(a, b) for a, b in zip(self.coeffs, other.coeffs)],
-        )
+        add = self.algebra.field.add
+        out = dict(self.coeffs)
+        for key, c in other.coeffs.items():
+            _accumulate(out, key, c, add)
+        return TensorElement(self.algebra, self.arity, _pruned(out))
 
     def __sub__(self, other):
-        self._check_compatible(other)
-        F = self.algebra.field
-        return TensorElement(
-            self.algebra, self.arity,
-            [F.sub(a, b) for a, b in zip(self.coeffs, other.coeffs)],
-        )
+        return self + (-other)
 
     def __neg__(self):
-        F = self.algebra.field
-        return TensorElement(self.algebra, self.arity, [F.neg(a) for a in self.coeffs])
+        neg = self.algebra.field.neg
+        return TensorElement(
+            self.algebra, self.arity, {key: neg(c) for key, c in self.coeffs.items()}
+        )
 
     def scale(self, c):
-        F = self.algebra.field
-        return TensorElement(self.algebra, self.arity, [F.mul(c, a) for a in self.coeffs])
+        mul = self.algebra.field.mul
+        return TensorElement(
+            self.algebra, self.arity,
+            _pruned({key: mul(c, v) for key, v in self.coeffs.items()}),
+        )
 
     def __eq__(self, other):
         if not isinstance(other, TensorElement):
@@ -140,28 +151,28 @@ class TensorElement:
             raise LegOutOfRange(f"leg {leg} for arity {self.arity}")
         A = self.algebra
         F = A.field
-        out = TensorElement.zero(A, self.arity - 1)
+        out = {}
         pos = leg - 1
-        for _, digits, c in self.iter_nonzero():
+        for digits, c in self.coeffs.items():
             head = digits[:pos]
             tail = digits[pos + 2:]
             for k, ck in A.basis_products[digits[pos]][digits[pos + 1]]:
-                idx = out.index_of(head + (k,) + tail)
-                out.coeffs[idx] = F.add(out.coeffs[idx], F.mul(c, ck))
-        return out
+                _accumulate(out, head + (k,) + tail, F.mul(c, ck), F.add)
+        return TensorElement(A, self.arity - 1, _pruned(out))
 
     def permute_legs(self, perm) -> "TensorElement":
         """Send leg p to position perm[p-1]; `perm` is 1-based."""
         perm = tuple(perm)
         if sorted(perm) != list(range(1, self.arity + 1)):
             raise BadPermutation(f"{perm} is not a permutation of 1..{self.arity}")
-        out = TensorElement.zero(self.algebra, self.arity)
-        for idx, digits, c in self.iter_nonzero():
-            new = [0] * self.arity
-            for p in range(self.arity):
-                new[perm[p] - 1] = digits[p]
-            out.coeffs[out.index_of(new)] = c
-        return out
+        # position q of the result holds old leg source[q]
+        source = [0] * self.arity
+        for p, q in enumerate(perm):
+            source[q - 1] = p
+        out = {
+            tuple(digits[p] for p in source): c for digits, c in self.coeffs.items()
+        }
+        return TensorElement(self.algebra, self.arity, out)
 
     def embed_legs(self, target_arity: int, slots) -> "TensorElement":
         """Place the legs at the listed slots, the unit everywhere else."""
@@ -180,17 +191,19 @@ class TensorElement:
         fills = [((), F.one)]
         for _ in unit_slots:
             fills = [(combo + (i,), F.mul(c, u)) for combo, c in fills for i, u in unit_nz]
-        out = TensorElement.zero(A, target_arity)
-        for _, digits, c in self.iter_nonzero():
+        fills = _marked(fills, F.one)
+        # distinct (digits, fill) pairs give distinct monomials and a
+        # product of nonzero scalars is nonzero, so nothing accumulates
+        out = {}
+        new = [0] * target_arity
+        for digits, c in self.coeffs.items():
+            for d, s in zip(digits, slots):
+                new[s - 1] = d
             for combo, cu in fills:
-                new = [0] * target_arity
-                for t, s in enumerate(slots):
-                    new[s - 1] = digits[t]
-                for t, s in enumerate(unit_slots):
-                    new[s - 1] = combo[t]
-                idx = out.index_of(new)
-                out.coeffs[idx] = F.add(out.coeffs[idx], F.mul(c, cu))
-        return out
+                for d, s in zip(combo, unit_slots):
+                    new[s - 1] = d
+                out[tuple(new)] = c if cu is None else F.mul(c, cu)
+        return TensorElement(A, target_arity, out)
 
     def act_leg(self, leg: int, a: AlgebraElement, side: str) -> "TensorElement":
         """Multiply one leg by an algebra element on the chosen side."""
@@ -201,19 +214,24 @@ class TensorElement:
         A = self.algebra
         A.check_same(a.algebra)
         F = A.field
+        table = A.basis_products
+        nz = [(i, ai) for i, ai in enumerate(a.coords) if ai]
+        # column d of the action: a * e_d (left) or e_d * a (right)
+        action = []
+        for d in range(A.dim):
+            col = {}
+            for i, ai in nz:
+                for k, ck in (table[i][d] if side == "left" else table[d][i]):
+                    _accumulate(col, k, F.mul(ai, ck), F.add)
+            action.append(_marked(_pruned(col).items(), F.one))
         pos = leg - 1
-        out = TensorElement.zero(A, self.arity)
-        for _, digits, c in self.iter_nonzero():
-            d = digits[pos]
-            for i, ai in enumerate(a.coords):
-                if not ai:
-                    continue
-                prods = A.basis_products[i][d] if side == "left" else A.basis_products[d][i]
-                cai = F.mul(c, ai)
-                for k, ck in prods:
-                    idx = self.index_of(digits[:pos] + (k,) + digits[pos + 1:])
-                    out.coeffs[idx] = F.add(out.coeffs[idx], F.mul(cai, ck))
-        return out
+        out = {}
+        for digits, c in self.coeffs.items():
+            head = digits[:pos]
+            tail = digits[pos + 1:]
+            for k, v in action[digits[pos]]:
+                _accumulate(out, head + (k,) + tail, c if v is None else F.mul(c, v), F.add)
+        return TensorElement(A, self.arity, _pruned(out))
 
     # -- serialization ------------------------------------------------------------
 
@@ -221,18 +239,39 @@ class TensorElement:
         fmt = self.algebra.field.format
         entries = [
             {"monomial": list(digits), "value": fmt(c)}
-            for _, digits, c in self.iter_nonzero()
+            for digits, c in self.iter_nonzero()
         ]
         return {"arity": self.arity, "coeffs": entries}
 
     @classmethod
     def from_json(cls, algebra: Algebra, obj) -> "TensorElement":
-        out = cls.zero(algebra, int(obj["arity"]))
-        F = algebra.field
-        for entry in obj["coeffs"]:
-            idx = out.index_of(tuple(entry["monomial"]))
-            out.coeffs[idx] = F.add(out.coeffs[idx], F.parse(entry["value"]))
-        return out
+        """Inverse of `to_json`; malformed input raises ParseError."""
+        if not isinstance(obj, dict):
+            raise ParseError(f"tensor: expected an object, got {type(obj).__name__}")
+        try:
+            arity = obj["arity"]
+            entries = obj["coeffs"]
+            if not _is_int(arity) or arity < 1:
+                raise ParseError(f"tensor: bad arity {arity!r}")
+            if not isinstance(entries, list):
+                raise ParseError(f"tensor: coeffs must be a list, got {type(entries).__name__}")
+            F = algebra.field
+            terms = []
+            for entry in entries:
+                if not isinstance(entry, dict):
+                    raise ParseError(f"tensor: bad entry {entry!r}")
+                monomial = entry["monomial"]
+                value = entry["value"]
+                if not isinstance(monomial, list) or not all(map(_is_int, monomial)):
+                    raise ParseError(f"tensor: bad monomial {monomial!r}")
+                if not isinstance(value, str):
+                    raise ParseError(f"tensor: value {value!r} is not a scalar string")
+                terms.append((monomial, F.parse(value)))
+            return cls.from_terms(algebra, arity, terms)
+        except KeyError as exc:
+            raise ParseError(f"tensor: missing key {exc.args[0]!r}") from exc
+        except ShapeMismatch as exc:
+            raise ParseError(f"tensor: {exc}") from exc
 
 
 def unit_tensor(algebra: Algebra, arity: int) -> TensorElement:
@@ -248,26 +287,51 @@ def unit_tensor(algebra: Algebra, arity: int) -> TensorElement:
 
 
 def tensor_mul(s: TensorElement, t: TensorElement) -> TensorElement:
-    """Legwise product in the tensor-power algebra."""
+    """Legwise product in the tensor-power algebra.
+
+    The monomials of `t` are indexed in a trie with one level per leg.
+    Each monomial of `s` walks it leg by leg and follows only the digits
+    b with e_a * e_b nonzero, where a is its own digit on that leg, so
+    coefficients are multiplied only along branches that survive every
+    leg.
+    """
     s._check_compatible(t)
     A = s.algebra
     F = A.field
-    prods = A.basis_products
-    out = TensorElement.zero(A, s.arity)
-    s_nz = list(s.iter_nonzero())
-    t_nz = list(t.iter_nonzero())
-    for _, ds, cs in s_nz:
-        for _, dt, ct in t_nz:
-            partial = [((), F.mul(cs, ct))]
-            for a, b in zip(ds, dt):
-                nxt = []
-                for combo, c in partial:
-                    for k, ck in prods[a][b]:
-                        nxt.append((combo + (k,), F.mul(c, ck)))
-                partial = nxt
-                if not partial:
-                    break
-            for combo, c in partial:
-                idx = out.index_of(combo)
-                out.coeffs[idx] = F.add(out.coeffs[idx], c)
-    return out
+    mul, add = F.mul, F.add
+    # products[a][b]: the terms of e_a * e_b, or None where it vanishes
+    products = [
+        [_marked(terms, F.one) if terms else None for terms in row]
+        for row in A.basis_products
+    ]
+    last = s.arity - 1
+    trie: dict = {}
+    for digits, c in t.coeffs.items():
+        node = trie
+        for d in digits[:last]:
+            child = node.get(d)
+            if child is None:
+                child = node[d] = {}
+            node = child
+        node[digits[last]] = c
+    out = {}
+    for ds, cs in s.coeffs.items():
+        # (trie node, output digits so far, coefficient so far)
+        level = [(trie, (), cs)]
+        for a in ds:
+            row = products[a]
+            nxt = []
+            for node, combo, c in level:
+                for b, child in node.items():
+                    terms = row[b]
+                    if terms is not None:
+                        for k, ck in terms:
+                            nxt.append((child, combo + (k,), c if ck is None else mul(c, ck)))
+            level = nxt
+            if not level:
+                break
+        for ct, combo, c in level:
+            v = mul(c, ct)
+            prev = out.get(combo)
+            out[combo] = v if prev is None else add(prev, v)
+    return TensorElement(A, s.arity, _pruned(out))

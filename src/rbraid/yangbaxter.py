@@ -52,7 +52,7 @@ def build_omega(cert: RMatrixCertificate, V: Bimodule,
     F = V.algebra.field
     m = V.dim
     big = Matrix.zeros(F, m * m, m * m)
-    for _, (i, j, k), c in cert.r.iter_nonzero():
+    for (i, j, k), c in cert.r.iter_nonzero():
         big = big + (V.left[i] @ V.right[j]).kron(V.left[k]).scale(c)
     return YBOperator(V, big @ swap_matrix(F, m, m))
 

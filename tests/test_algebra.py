@@ -67,6 +67,28 @@ def test_corrupted_table_fails_with_witness():
     assert failing.witness is not None
 
 
+@pytest.mark.parametrize("field, table, witness", [
+    (QQ,
+     [[["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]],
+      [["0", "1", "0"], ["1/2", "0", "-3"], ["0", "2", "1"]],
+      [["0", "0", "1"], ["0", "-1", "1"], ["2", "0", "0"]]],
+     "(e_1e_1)e_1 = ['0', '7/2', '-3'] != e_1(e_1e_1) = ['0', '-11/2', '-3']"),
+    (GF(5),
+     [[["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]],
+      [["0", "1", "0"], ["0", "0", "0"], ["0", "0", "0"]],
+      [["0", "0", "1"], ["0", "1", "0"], ["0", "3", "4"]]],
+     "(e_2e_2)e_1 = ['0', '4', '0'] != e_2(e_2e_1) = ['0', '1', '0']"),
+])
+def test_non_associative_custom_witness(field, table, witness):
+    # the first failing triple and both sides, in dense coordinates, as
+    # the dense n^3 check reported them
+    parsed = [[[field.parse(c) for c in row] for row in plane] for plane in table]
+    unit = [field.one, field.zero, field.zero]
+    report = validate_algebra(Algebra(field, parsed, unit))
+    assert report["unit"].passed
+    assert report["associativity"].witness == witness
+
+
 def test_quaternion_validates():
     assert validate_algebra(build_quaternion(-1, -1, QQ)).passed
     assert validate_algebra(build_quaternion(2, 3, QQ)).passed

@@ -148,14 +148,13 @@ def test_braiding_of_unit_class_is_r(m2, cert):
     c = braiding_map(cert, sq, sq)
     unit2 = unit_tensor(m2, 2)
     amb = [QQ.zero] * 256
-    for i, u in enumerate(unit2.coeffs):
-        for j, v in enumerate(unit2.coeffs):
-            if u != QQ.zero and v != QQ.zero:
-                amb[i * 16 + j] = QQ.mul(u, v)
+    for (x, y), u in unit2.coeffs.items():
+        for (z, w), v in unit2.coeffs.items():
+            amb[(x * 4 + y) * 16 + z * 4 + w] = QQ.mul(u, v)
     image = c.matrix.matvec(q.project_vec(amb))
     # lift the solved tensor through the section (i,j,k) -> (i(x)j)(x)(1(x)k)
     lift = [QQ.zero] * 256
-    for _, (i, j, k), v in cert.r.iter_nonzero():
+    for (i, j, k), v in cert.r.iter_nonzero():
         for s, u in enumerate(m2.unit):
             if u != QQ.zero:
                 idx = (i * 4 + j) * 16 + (s * 4 + k)
@@ -176,7 +175,7 @@ def test_switch_braiding_on_scalars():
 
 def test_braiding_not_well_defined_for_corrupted_tensor(m2):
     r = matrix_closed_form(2, QQ)
-    r.coeffs[r.index_of((0, 0, 1))] = Fraction(1)  # perturb one coefficient
+    r.coeffs[(0, 0, 1)] = Fraction(1)  # perturb one coefficient
     bad_cert = certify(m2, r)
     assert not bad_cert.valid
     reg = regular_bimodule(m2)
@@ -241,7 +240,8 @@ def test_canonical_morphism_properties(m2):
         m = [Fraction(rng.randrange(-3, 4)) for _ in range(M.dim)]
         f = canonical_morphism(M, m)
         unit2 = unit_tensor(m2, 2)
-        assert f.matvec(unit2.coeffs) == m
+        one_one = [unit2.coefficient((a, b)) for a in range(4) for b in range(4)]
+        assert f.matvec(one_one) == m
         assert is_bimodule_map(sq, M, f)
 
 
@@ -269,7 +269,7 @@ def test_audit_mixed_triple(m2, cert):
 
 def test_audit_catches_corrupted_tensor(m2):
     r = matrix_closed_form(2, QQ)
-    r.coeffs[r.index_of((0, 1, 2))] = Fraction(5)
+    r.coeffs[(0, 1, 2)] = Fraction(5)
     bad_cert = certify(m2, r)
     reg = regular_bimodule(m2)
     report = audit_braiding(bad_cert, reg, reg, reg)

@@ -3,6 +3,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from rbraid.cli import main
 
 M2 = {"field": {"kind": "Q"}, "algebra": {"kind": "matrix", "n": 2}}
@@ -114,6 +116,39 @@ def test_verify_wrong_tensor_fails(tmp_path, capsys):
     assert code == 1
     assert report["status"] == "fail"
     assert report["payload"]["checks"]["c1"] is not True
+
+
+@pytest.mark.parametrize("tensor", [
+    {"arity": 3, "coeffs": [{"monomial": 5, "value": "1"}]},
+    {"arity": 3, "coeffs": [{"monomial": [0, 0, 0]}]},
+    {"arity": 3, "coeffs": "xx"},
+    {"arity": 3, "coeffs": [[0, 0, 0]]},
+    {"arity": 3, "coeffs": [{"monomial": [0, 0], "value": "1"}]},
+    {"arity": 3, "coeffs": [{"monomial": [0, 0, 4], "value": "1"}]},
+    {"arity": 3, "coeffs": [{"monomial": [True, 0, 0], "value": "1"}]},
+    {"arity": 3, "coeffs": [{"monomial": [0.0, 0, 0], "value": "1"}]},
+    {"arity": 3, "coeffs": [{"monomial": [0, 0, 0], "value": 1}]},
+    {"arity": 4, "coeffs": [{"monomial": [0, 0, 0, 0], "value": "1"}]},
+    {"arity": True, "coeffs": []},
+    {"arity": "3", "coeffs": []},
+])
+def test_verify_malformed_tensor_exit_two(tmp_path, capsys, tensor):
+    apath = write(tmp_path, "m2.json", M2)
+    rpath = write(tmp_path, "bad_r.json", tensor)
+    code, report = run(capsys, "verify", apath, rpath)
+    assert code == 2
+    assert report["status"] == "error"
+    assert report["error"].startswith(("tensor:", "R-matrix tensor:"))
+
+
+def test_modulus_above_primality_bound_exit_two(tmp_path, capsys):
+    path = write(tmp_path, "big.json", {
+        "field": {"kind": "GF", "p": 3317044064679887385961981 + 2},
+        "algebra": {"kind": "matrix", "n": 2},
+    })
+    code, report = run(capsys, "validate", path)
+    assert code == 2
+    assert "bound" in report["error"]
 
 
 def test_reports_byte_stable(tmp_path, capsys):

@@ -1,4 +1,5 @@
 """Scalar layer: exact arithmetic, parsing, canonical formatting."""
+import time
 from fractions import Fraction
 
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given, strategies as st
 
 from rbraid import GF, QQ
 from rbraid.errors import DescriptorMismatch, DivisionByZero, ParseError
+from rbraid.fields import _is_prime
 
 PRIMES = [2, 3, 5, 7, 11, 97]
 
@@ -141,3 +143,34 @@ def test_non_prime_modulus_rejected():
         GF(8)
     with pytest.raises(ParseError):
         GF(1)
+
+
+def test_large_prime_moduli_accepted_quickly():
+    # trial division would need about 10^9 steps for each of these
+    started = time.perf_counter()
+    for p in (10**18 + 3, 10**18 + 9):
+        assert GF(p).p == p
+    assert time.perf_counter() - started < 1.0
+
+
+def test_pseudoprimes_rejected():
+    # 561 is a Carmichael number; 3215031751 is a strong pseudoprime to
+    # the bases 2, 3, 5 and 7
+    for n in (561, 3215031751, 10**18 + 1):
+        with pytest.raises(ParseError):
+            GF(n)
+
+
+def test_is_prime_matches_sieve():
+    limit = 20000
+    sieve = [True] * limit
+    sieve[0] = sieve[1] = False
+    for i in range(2, int(limit ** 0.5) + 1):
+        if sieve[i]:
+            sieve[i * i::i] = [False] * len(sieve[i * i::i])
+    assert [n for n in range(limit) if _is_prime(n)] == [n for n in range(limit) if sieve[n]]
+
+
+def test_modulus_above_primality_bound_rejected():
+    with pytest.raises(ParseError, match="bound"):
+        GF(3317044064679887385961981 + 2)

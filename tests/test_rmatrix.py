@@ -48,7 +48,9 @@ def brute_force_rmatrix_count(A) -> int:
     basis = [A.basis_element(b) for b in range(A.dim)]
     count = 0
     for coeffs in product(range(p), repeat=size):
-        R = TensorElement(A, 3, [F.from_int(c) for c in coeffs])
+        R = TensorElement.from_terms(
+            A, 3, zip(product(range(A.dim), repeat=3), map(F.from_int, coeffs))
+        )
         if any(
             R.act_leg(2, e, "left") != R.act_leg(3, e, "right") for e in basis
         ):
@@ -68,7 +70,7 @@ def test_solve_matrix_2_closed_form():
     cert = solve_rmatrix(build_matrix_algebra(2, QQ))
     assert cert is not None and cert.valid
     assert cert.r.nnz() == 8
-    assert all(c in (QQ.zero, QQ.one) for c in cert.r.coeffs)
+    assert all(c == QQ.one for c in cert.r.coeffs.values())
     assert cert.r == matrix_closed_form(2, QQ)
     assert cert.solver.solution_dim == 0
     assert cert.solver.w_dim == 4
@@ -222,6 +224,47 @@ def test_verifier_arity_check():
     A = build_matrix_algebra(2, QQ)
     with pytest.raises(ArityMismatch):
         verify_rmatrix(A, unit_tensor(A, 2))
+
+
+def test_verifier_witnesses_name_first_differing_monomial():
+    # every check of a perturbed matrix tensor fails; each witness names
+    # the first differing monomial in sorted digit order
+    A = build_matrix_algebra(2, QQ)
+    r = matrix_closed_form(2, QQ)
+    bad = TensorElement.from_terms(
+        A, 3, list(r.iter_nonzero()) + [((0, 1, 2), Fraction(5)), ((0, 0, 1), Fraction(-2, 3))]
+    )
+    witnesses = {res.name: res.witness for res in verify_rmatrix(A, bad)}
+    assert witnesses == {
+        "c1": "a=e_0, monomial (0, 1, 2): 0 != 5",
+        "c2": "a=e_0, monomial (0, 1, 2): 5 != 0",
+        "c3": "a=e_0, monomial (0, 0, 1): -2/3 != 0",
+        "h1": "monomial (0, 0, 0, 1): -2/3 != -4/3",
+        "h2": "monomial (0, 0, 1, 0): 0 != -10/3",
+        "inv1": "monomial (0, 0, 1): -2/3 != 0",
+        "inv2": "monomial (0, 0, 1): -2/3 != 0",
+        "n1": "monomial (0, 1): -2/3 != 0",
+        "n2": "monomial (1, 2): 5 != 0",
+        "n3": "monomial (0, 0): 6 != 1",
+        "cyc1": "monomial (0, 0, 1): 0 != -2/3",
+        "cyc2": "monomial (0, 0, 1): 0 != -2/3",
+        "q1": "monomial (0, 0, 0, 1): -4/3 != -2/3",
+        "q2": "monomial (0, 0, 1, 0): -10/3 != 0",
+    }
+
+
+def test_verifier_witnesses_over_gf():
+    H = build_quaternion(3, 5, GF(7))
+    r = quaternion_closed_form(3, 5, GF(7))
+    bad = TensorElement.from_terms(
+        H, 3, list(r.iter_nonzero()) + [((2, 1, 3), 1), ((3, 3, 3), 4)]
+    )
+    report = verify_rmatrix(H, bad)
+    assert report["h1"].witness == "monomial (0, 0, 0, 3): 0 != 6"
+    assert report["h2"].witness == "monomial (0, 0, 1, 1): 3 != 0"
+    assert report["q1"].witness == "monomial (0, 0, 0, 3): 6 != 0"
+    assert report["q2"].witness == "monomial (0, 0, 1, 1): 0 != 3"
+    assert report["c1"].witness == "a=e_1, monomial (2, 1, 2): 4 != 1"
 
 
 def test_verifier_catches_scaled_tensor():

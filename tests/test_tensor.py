@@ -1,14 +1,18 @@
 """Tensor-power calculus: products, leg actions, permutations, embeddings."""
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rbraid import (
     GF,
     QQ,
     TensorElement,
+    build_direct_sum,
     build_matrix_algebra,
+    build_poly_quotient,
     build_quaternion,
     matrix_closed_form,
     tensor_mul,
@@ -33,8 +37,11 @@ def r_m2(m2):
 
 
 def random_tensor(A, arity, rng):
-    coeffs = [A.field.from_int(rng.randrange(-3, 4)) for _ in range(A.dim ** arity)]
-    return TensorElement(A, arity, coeffs)
+    terms = [
+        (digits, A.field.from_int(rng.randrange(-3, 4)))
+        for digits in product(range(A.dim), repeat=arity)
+    ]
+    return TensorElement.from_terms(A, arity, terms)
 
 
 def test_unit_tensor_is_identity(m2):
@@ -53,7 +60,7 @@ def test_unit_tensor_contracts_to_unit(m2):
 def test_unit_tensor_scalar_algebra():
     k = build_matrix_algebra(1, QQ)
     u = unit_tensor(k, 3)
-    assert u.coeffs == [Fraction(1)]
+    assert u.coeffs == {(0, 0, 0): Fraction(1)}
 
 
 def test_tensor_mul_associative_spot(m2):
@@ -200,21 +207,15 @@ def test_arity_mismatch(m2, r_m2):
         tensor_mul(r_m2, unit_tensor(m2, 2))
 
 
-def test_index_round_trip(m2):
-    t = unit_tensor(m2, 3)
-    for idx in range(0, 64, 7):
-        assert t.index_of(t.digits_of(idx)) == idx
-
-
 def test_serialization_round_trip(m2, r_m2):
     obj = r_m2.to_json()
     assert obj["arity"] == 3
     assert len(obj["coeffs"]) == r_m2.nnz() == 8
     back = TensorElement.from_json(m2, obj)
     assert back == r_m2
-    # entries are sorted by index
-    indices = [r_m2.index_of(tuple(e["monomial"])) for e in obj["coeffs"]]
-    assert indices == sorted(indices)
+    # entries are sorted by monomial, leg 1 most significant
+    monomials = [tuple(e["monomial"]) for e in obj["coeffs"]]
+    assert monomials == sorted(monomials)
 
 
 def test_serialization_gf(m2):
@@ -223,3 +224,64 @@ def test_serialization_gf(m2):
     r5 = matrix_closed_form(2, F)
     back = TensorElement.from_json(A5, r5.to_json())
     assert back == r5
+
+
+# -- the leg-by-leg join against the all-pairs product ----------------------
+
+# Matrix algebras and direct sums have many vanishing basis products; the
+# quaternion and polynomial products never vanish and the quotient's
+# products have several terms.
+JOIN_ALGEBRAS = [
+    algebra
+    for F in (QQ, GF(5))
+    for algebra in (
+        build_matrix_algebra(2, F),
+        build_matrix_algebra(3, F),
+        build_quaternion(-1, 3, F),
+        build_poly_quotient([1, 2, 0, 1], F),
+        build_direct_sum(build_matrix_algebra(2, F), build_poly_quotient([0, 0, 1], F)),
+    )
+]
+
+
+def all_pairs_product(s, t):
+    """Reference product: every pair of monomials, expanded leg by leg."""
+    A = s.algebra
+    F = A.field
+    terms = []
+    for ds, cs in s.coeffs.items():
+        for dt, ct in t.coeffs.items():
+            partial = [((), F.mul(cs, ct))]
+            for a, b in zip(ds, dt):
+                partial = [
+                    (combo + (k,), F.mul(c, ck))
+                    for combo, c in partial
+                    for k, ck in A.basis_products[a][b]
+                ]
+            terms.extend(partial)
+    return TensorElement.from_terms(A, s.arity, terms)
+
+
+@st.composite
+def factor_pairs(draw):
+    A = draw(st.sampled_from(JOIN_ALGEBRAS))
+    arity = draw(st.integers(1, 4))
+    monomials = st.tuples(*[st.integers(0, A.dim - 1)] * arity)
+    values = st.fractions(-3, 3, max_denominator=4) if A.field == QQ else st.integers(0, 4)
+
+    def element():
+        terms = draw(st.lists(st.tuples(monomials, values), max_size=12))
+        t = TensorElement.from_terms(A, arity, [(d, A.field.coerce(v)) for d, v in terms])
+        # a unit part brings in the multi-term unit legs of embedded factors
+        return t + unit_tensor(A, arity) if draw(st.booleans()) else t
+
+    return element(), element()
+
+
+@settings(max_examples=200)
+@given(factor_pairs())
+def test_tensor_mul_matches_all_pairs_reference(pair):
+    s, t = pair
+    product = tensor_mul(s, t)
+    assert product == all_pairs_product(s, t)
+    assert all(product.coeffs.values())  # no stored zeros
