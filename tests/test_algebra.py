@@ -80,8 +80,8 @@ def test_corrupted_table_fails_with_witness():
      "(e_2e_2)e_1 = ['0', '4', '0'] != e_2(e_2e_1) = ['0', '1', '0']"),
 ])
 def test_non_associative_custom_witness(field, table, witness):
-    # the first failing triple and both sides, in dense coordinates, as
-    # the dense n^3 check reported them
+    # the witness is the first failing triple in (i, j, k) order, with
+    # both sides as full coordinate lists
     parsed = [[[field.parse(c) for c in row] for row in plane] for plane in table]
     unit = [field.one, field.zero, field.zero]
     report = validate_algebra(Algebra(field, parsed, unit))
