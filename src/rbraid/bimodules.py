@@ -385,39 +385,24 @@ def braiding_map(cert: RMatrixCertificate, M: Bimodule, N: Bimodule) -> Quotient
     return induced_map(src, dst, braiding_ambient(cert, M, N), what="braiding")
 
 
-def associator(M: Bimodule, N: Bimodule, P: Bimodule) -> QuotientMap:
-    """Canonical (M (x)_A N) (x)_A P -> M (x)_A (N (x)_A P)."""
+def associator(M: Bimodule, N: Bimodule, P: Bimodule,
+               inverse: bool = False) -> QuotientMap:
+    """Canonical (M (x)_A N) (x)_A P -> M (x)_A (N (x)_A P), or with
+    `inverse` the map back."""
     F = M.algebra.field
     qmn = tensor_over_A(M, N)
     qnp = tensor_over_A(N, P)
-    src = tensor_over_A(qmn.bimodule, P)
-    dst = tensor_over_A(M, qnp.bimodule)
+    grouped_left = tensor_over_A(qmn.bimodule, P)
+    grouped_right = tensor_over_A(M, qnp.bimodule)
     eye_m = Matrix.identity(F, M.dim)
     eye_p = Matrix.identity(F, P.dim)
-    matrix = (
-        dst.projection
-        @ eye_m.kron(qnp.projection)
-        @ qmn.section.kron(eye_p)
-        @ src.section
-    )
-    return QuotientMap(src, dst, matrix)
-
-
-def associator_inv(M: Bimodule, N: Bimodule, P: Bimodule) -> QuotientMap:
-    """Canonical M (x)_A (N (x)_A P) -> (M (x)_A N) (x)_A P."""
-    F = M.algebra.field
-    qmn = tensor_over_A(M, N)
-    qnp = tensor_over_A(N, P)
-    src = tensor_over_A(M, qnp.bimodule)
-    dst = tensor_over_A(qmn.bimodule, P)
-    eye_m = Matrix.identity(F, M.dim)
-    eye_p = Matrix.identity(F, P.dim)
-    matrix = (
-        dst.projection
-        @ qmn.projection.kron(eye_p)
-        @ eye_m.kron(qnp.section)
-        @ src.section
-    )
+    if inverse:
+        src, dst = grouped_right, grouped_left
+        to_dst, from_src = qmn.projection.kron(eye_p), eye_m.kron(qnp.section)
+    else:
+        src, dst = grouped_left, grouped_right
+        to_dst, from_src = eye_m.kron(qnp.projection), qmn.section.kron(eye_p)
+    matrix = dst.projection @ to_dst @ from_src @ src.section
     return QuotientMap(src, dst, matrix)
 
 
@@ -627,7 +612,7 @@ def audit_braiding(cert: RMatrixCertificate, M: Bimodule, N: Bimodule,
     qnp = tensor_over_A(N, P)
 
     a1 = associator(M, N, P)
-    a1_inv = associator_inv(M, N, P)
+    a1_inv = associator(M, N, P, inverse=True)
     round1 = (a1_inv @ a1).is_identity() and (a1 @ a1_inv).is_identity()
     results.append(
         CheckResult("associator_roundtrip", round1,
@@ -655,7 +640,7 @@ def audit_braiding(cert: RMatrixCertificate, M: Bimodule, N: Bimodule,
                 c_mp.matrix.kron(eye_n),
                 what="c(M,P) (x) N",
             )
-            @ associator_inv(M, P, N)
+            @ associator(M, P, N, inverse=True)
             @ step_inner
             @ a1
         )
@@ -671,7 +656,7 @@ def audit_braiding(cert: RMatrixCertificate, M: Bimodule, N: Bimodule,
         # c on (M, N(x)P), compared with braiding M past N and P one at a time.
         lhs2 = braiding_map(cert, M, qnp.bimodule)
         rhs2 = (
-            associator_inv(N, P, M)
+            associator(N, P, M, inverse=True)
             @ induced_map(
                 tensor_over_A(N, tensor_over_A(M, P).bimodule),
                 tensor_over_A(N, tensor_over_A(P, M).bimodule),

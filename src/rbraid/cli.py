@@ -46,6 +46,10 @@ from .yangbaxter import (
 
 BIMODULE_CHOICES = "regular, square or free:<d>"
 
+# Nested algebra objects (tensor, direct_sum, opposite) deeper than this
+# are rejected before any recursion.
+MAX_SPEC_DEPTH = 64
+
 
 # -- input format -----------------------------------------------------------
 
@@ -56,21 +60,31 @@ def _expect_dict(obj, where: str) -> dict:
     return obj
 
 
+def _expect_int(value, where: str) -> int:
+    # bool is a subclass of int, and JSON floats such as 2.9 must not be
+    # truncated, so only a plain int passes
+    if type(value) is not int:
+        raise ParseError(f"{where}: expected an integer, got {value!r}")
+    return value
+
+
 def build_algebra_from_spec(spec: dict) -> Algebra:
     """Construct and remember the algebra described by a definition file."""
     spec = _expect_dict(spec, "top level")
     if "field" not in spec or "algebra" not in spec:
         raise ParseError("top level: need 'field' and 'algebra' keys")
     field = field_from_json(_expect_dict(spec["field"], "field"))
-    return _build_algebra(field, spec["algebra"], "algebra")
+    return _build_algebra(field, spec["algebra"], "algebra", 0)
 
 
-def _build_algebra(field: Field, obj, where: str) -> Algebra:
+def _build_algebra(field: Field, obj, where: str, depth: int) -> Algebra:
+    if depth > MAX_SPEC_DEPTH:
+        raise ParseError(f"algebra: nested deeper than {MAX_SPEC_DEPTH} levels")
     obj = _expect_dict(obj, where)
     kind = obj.get("kind")
     try:
         if kind == "matrix":
-            return build_matrix_algebra(int(obj["n"]), field)
+            return build_matrix_algebra(_expect_int(obj["n"], where + ".n"), field)
         if kind == "quaternion":
             return build_quaternion(field.parse(str(obj["a"])),
                                     field.parse(str(obj["b"])), field)
@@ -79,18 +93,18 @@ def _build_algebra(field: Field, obj, where: str) -> Algebra:
             return build_poly_quotient(modulus, field)
         if kind == "tensor":
             return build_tensor_product(
-                _build_algebra(field, obj["left"], where + ".left"),
-                _build_algebra(field, obj["right"], where + ".right"),
+                _build_algebra(field, obj["left"], where + ".left", depth + 1),
+                _build_algebra(field, obj["right"], where + ".right", depth + 1),
             )
         if kind == "direct_sum":
             return build_direct_sum(
-                _build_algebra(field, obj["left"], where + ".left"),
-                _build_algebra(field, obj["right"], where + ".right"),
+                _build_algebra(field, obj["left"], where + ".left", depth + 1),
+                _build_algebra(field, obj["right"], where + ".right", depth + 1),
             )
         if kind == "opposite":
-            return opposite(_build_algebra(field, obj["of"], where + ".of"))
+            return opposite(_build_algebra(field, obj["of"], where + ".of", depth + 1))
         if kind == "custom":
-            dim = int(obj["dim"])
+            dim = _expect_int(obj["dim"], where + ".dim")
             unit = [field.parse(str(c)) for c in obj["unit"]]
             table = [
                 [[field.parse(str(c)) for c in row] for row in plane]
@@ -116,6 +130,8 @@ def _load_json(path: str):
         return json.loads(data), hashlib.sha256(data).hexdigest()
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: invalid JSON at line {exc.lineno}") from exc
+    except RecursionError as exc:
+        raise ParseError(f"{path}: JSON nested too deeply") from exc
 
 
 def _load_algebra(path: str) -> tuple[Algebra, str]:
@@ -146,11 +162,10 @@ def _parse_bimodule(A: Algebra, text: str):
     if text == "square":
         return square_bimodule(A)
     if text.startswith("free:"):
-        try:
-            d = int(text.split(":", 1)[1])
-        except ValueError as exc:
-            raise ParseError(f"bad free rank in {text!r}") from exc
-        return free_bimodule(A, d)
+        rank = text[len("free:"):]
+        if not (rank.isascii() and rank.isdigit()):
+            raise ParseError(f"bad free rank in {text!r}")
+        return free_bimodule(A, int(rank))
     raise ParseError(f"unknown bimodule {text!r}; use {BIMODULE_CHOICES}")
 
 
@@ -342,17 +357,13 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ParseError, UnsupportedSize) as exc:
-        error = {"command": args.command, "status": "error", "error": str(exc)}
-        json.dump(error, sys.stdout, sort_keys=True)
-        sys.stdout.write("\n")
-        return 2
     except RBraidError as exc:
-        error = {
-            "command": args.command,
-            "status": "error",
-            "error": f"{type(exc).__name__}: {exc}",
-        }
+        # input errors speak for themselves; any other error names its type
+        if isinstance(exc, (ParseError, UnsupportedSize)):
+            message = str(exc)
+        else:
+            message = f"{type(exc).__name__}: {exc}"
+        error = {"command": args.command, "status": "error", "error": message}
         json.dump(error, sys.stdout, sort_keys=True)
         sys.stdout.write("\n")
         return 2

@@ -219,7 +219,7 @@ def field_from_json(obj) -> Field:
         return QQ
     if obj["kind"] == "GF":
         p = obj.get("p")
-        if not isinstance(p, int):
+        if type(p) is not int:  # not bool, not float
             raise ParseError(f"bad GF modulus {p!r}")
         return GF(p)
     raise ParseError(f"unknown field kind {obj['kind']!r}")

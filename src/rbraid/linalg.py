@@ -5,15 +5,22 @@ eliminations are plain Gauss-Jordan with eager canonicalization; the
 reduced row echelon form of a matrix is unique, so every derived object
 (rank, pivot set, nullspace parametrization, affine solutions) is
 deterministic and byte-stable across runs.
+
+Every matrix product runs on one integer kernel: rational operands are
+scaled by a common denominator, and each output entry is divided by it
+(or reduced mod p) once.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
+from fractions import Fraction
+from math import lcm
 
 from .errors import NotSquare, ShapeMismatch
 from .fields import Field
 
 Row = dict
+IntRows = list[dict]
 
 
 class Echelon:
@@ -235,42 +242,14 @@ class Matrix:
         self.field.check_same(other.field)
         if self.ncols != other.nrows:
             raise ShapeMismatch(f"{self.ncols} cols vs {other.nrows} rows")
-        F = self.field
-        zero, add, mul = F.zero, F.add, F.mul
-        rows = []
-        for ra in self.rows:
-            acc: Row = {}
-            for k, a in ra.items():
-                for j, b in other.rows[k].items():
-                    w = add(acc.get(j, zero), mul(a, b))
-                    if w:
-                        acc[j] = w
-                    else:
-                        acc.pop(j, None)
-            rows.append(acc)
-        return Matrix(F, self.nrows, other.ncols, rows)
+        return Matrix(self.field, self.nrows, other.ncols, _product(self, other))
 
     def matvec(self, vec):
         if len(vec) != self.ncols:
             raise ShapeMismatch(f"vector length {len(vec)} vs {self.ncols} cols")
-        F = self.field
-        add, mul = F.add, F.mul
-        nz = {j: x for j, x in enumerate(vec) if x}
-        out = []
-        for r in self.rows:
-            acc = F.zero
-            if len(r) <= len(nz):
-                for j, v in r.items():
-                    x = nz.get(j)
-                    if x is not None:
-                        acc = add(acc, mul(v, x))
-            else:
-                for j, x in nz.items():
-                    v = r.get(j)
-                    if v is not None:
-                        acc = add(acc, mul(v, x))
-            out.append(acc)
-        return out
+        column = Matrix(self.field, self.ncols, 1, [{0: x} if x else {} for x in vec])
+        zero = self.field.zero
+        return [r.get(0, zero) for r in _product(self, column)]
 
     def transpose(self):
         rows: list[Row] = [{} for _ in range(self.ncols)]
@@ -283,14 +262,24 @@ class Matrix:
         """Kronecker product, row/column index of (i, k) is i*other.n + k."""
         self.field.check_same(other.field)
         F = self.field
+        p, nb = F.characteristic, other.ncols
+        # Left operands are often identities, sections or swaps: an entry
+        # equal to one (the int 1 or Fraction(1)) copies the right row.
         rows: list[Row] = []
         for ra in self.rows:
             for rb in other.rows:
                 row = {}
                 for j, a in ra.items():
-                    base = j * other.ncols
-                    for l, b in rb.items():
-                        row[base + l] = F.mul(a, b)
+                    base = j * nb
+                    if a == 1:
+                        for l, b in rb.items():
+                            row[base + l] = b
+                    elif p:
+                        for l, b in rb.items():
+                            row[base + l] = a * b % p
+                    else:
+                        for l, b in rb.items():
+                            row[base + l] = a * b
                 rows.append(row)
         return Matrix(F, self.nrows * other.nrows, self.ncols * other.ncols, rows)
 
@@ -342,6 +331,57 @@ class Matrix:
         if self.nrows != self.ncols:
             raise NotSquare(f"{self.nrows}x{self.ncols}")
         return self.rank() == self.ncols
+
+
+def _product(a: Matrix, b: Matrix) -> list[Row]:
+    """Rows of a @ b, in canonical field values."""
+    ia, mod, sa = _int_rows(a)
+    ib, _, sb = _int_rows(b)
+    rows = _int_matmul(ia, ib, mod)
+    if mod is None:
+        s = sa * sb
+        rows = [{j: Fraction(v, s) for j, v in r.items()} for r in rows]
+    return rows
+
+
+def _int_rows(m: Matrix) -> tuple[IntRows, int | None, int]:
+    """(integer rows of `m` times `scale`, modulus or None, scale); over
+    GF(p) these are the rows themselves, which callers must not mutate."""
+    F = m.field
+    if F.characteristic:
+        return m.rows, F.characteristic, 1
+    scale = 1
+    for r in m.rows:
+        for v in r.values():
+            if scale % v.denominator:
+                scale = lcm(scale, v.denominator)
+    if scale == 1:  # the common case: identities, sections, swaps
+        rows = [{j: v.numerator for j, v in r.items()} for r in m.rows]
+    else:
+        rows = [{j: v.numerator * (scale // v.denominator) for j, v in r.items()}
+                for r in m.rows]
+    return rows, None, scale
+
+
+def _int_matmul(a: IntRows, b: IntRows, mod: int | None) -> IntRows:
+    """Sparse product of integer rows; with a modulus each output entry
+    is reduced once.  No zero is stored in the result."""
+    out = []
+    for ra in a:
+        acc: dict = {}
+        get = acc.get
+        for k, x in ra.items():
+            if x == 1:
+                for j, y in b[k].items():
+                    acc[j] = get(j, 0) + y
+            else:
+                for j, y in b[k].items():
+                    acc[j] = get(j, 0) + x * y
+        if mod is None:
+            out.append({j: v for j, v in acc.items() if v})
+        else:
+            out.append({j: w for j, v in acc.items() if (w := v % mod)})
+    return out
 
 
 def nullspace_from_echelon(ech: Echelon):

@@ -9,12 +9,11 @@ sampled vectors.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
 
 from .bimodules import Bimodule, swap_matrix
 from .checks import CheckResult
 from .errors import UnsupportedSize, UnverifiedCertificate
-from .linalg import Matrix
+from .linalg import IntRows, Matrix, _int_matmul, _int_rows
 from .rmatrix import RMatrixCertificate
 
 DEFAULT_DIM_CAP = 16
@@ -60,47 +59,8 @@ def build_omega(cert: RMatrixCertificate, V: Bimodule,
 # The triple-power products are the one place where dense-ish exact
 # matrix multiplication gets big (4096 x 4096 for a 16-dimensional
 # bimodule).  Both sides of each equation scale the same way, so the
-# comparison may run on integer matrices: over the rationals the
-# operator is multiplied by the common denominator once, over GF(p) the
-# residues are already integers and products reduce mod p.
-
-IntRows = list[dict]
-
-
-def _int_rows(omega: Matrix) -> tuple[IntRows, int | None, int]:
-    """(integer row dicts of a scaled copy, modulus or None, scale)."""
-    F = omega.field
-    if F.characteristic:
-        return [dict(r) for r in omega.rows], F.characteristic, 1
-    scale = 1
-    for r in omega.rows:
-        for v in r.values():
-            d = v.denominator
-            scale = scale * d // gcd(scale, d)
-    return (
-        [{j: int(v * scale) for j, v in r.items()} for r in omega.rows],
-        None,
-        scale,
-    )
-
-
-def _int_matmul(a: IntRows, b: IntRows, mod: int | None) -> IntRows:
-    out = []
-    for ra in a:
-        acc: dict = {}
-        get = acc.get
-        for k, x in ra.items():
-            if x == 1:
-                for j, y in b[k].items():
-                    acc[j] = get(j, 0) + y
-            else:
-                for j, y in b[k].items():
-                    acc[j] = get(j, 0) + x * y
-        if mod is None:
-            out.append({j: v for j, v in acc.items() if v})
-        else:
-            out.append({j: w for j, v in acc.items() if (w := v % mod)})
-    return out
+# checks compare integer rows of the scaled operator and never convert
+# back to field values.
 
 
 def _int_embed12(rows: IntRows, m: int) -> IntRows:

@@ -151,6 +151,71 @@ def test_modulus_above_primality_bound_exit_two(tmp_path, capsys):
     assert "bound" in report["error"]
 
 
+def nested_opposites(levels):
+    algebra = {"kind": "matrix", "n": 1}
+    for _ in range(levels):
+        algebra = {"kind": "opposite", "of": algebra}
+    return {"field": {"kind": "Q"}, "algebra": algebra}
+
+
+def test_deep_nesting_exit_two(tmp_path, capsys):
+    # 3000 levels are too deep for json.loads itself; 65 pass the decoder
+    # and stop at the nesting check before the builder recurses
+    path = tmp_path / "deep.json"
+    path.write_text('{"field": {"kind": "Q"}, "algebra": '
+                    + '{"kind": "opposite", "of": ' * 3000
+                    + '{"kind": "matrix", "n": 1}' + "}" * 3001)
+    code, report = run(capsys, "validate", str(path))
+    assert code == 2 and report["status"] == "error"
+    assert "nested too deeply" in report["error"]
+    code, report = run(capsys, "validate", write(tmp_path, "d65.json", nested_opposites(65)))
+    assert code == 2 and "nested deeper than 64" in report["error"]
+    code, report = run(capsys, "validate", write(tmp_path, "d64.json", nested_opposites(64)))
+    assert code == 0 and report["status"] == "valid"
+
+
+@pytest.mark.parametrize("algebra", [
+    {"kind": "matrix", "n": 2.9},
+    {"kind": "matrix", "n": True},
+    {"kind": "matrix", "n": "2"},
+    {"kind": "custom", "dim": 1.0, "unit": ["1"], "table": [[["1"]]]},
+    {"kind": "custom", "dim": True, "unit": ["1"], "table": [[["1"]]]},
+    {"kind": "custom", "dim": "1", "unit": ["1"], "table": [[["1"]]]},
+])
+def test_non_integer_sizes_exit_two(tmp_path, capsys, algebra):
+    path = write(tmp_path, "loose.json", {"field": {"kind": "Q"}, "algebra": algebra})
+    code, report = run(capsys, "validate", path)
+    assert code == 2 and report["status"] == "error"
+    assert "expected an integer" in report["error"]
+
+
+@pytest.mark.parametrize("p", [True, 7.0, "7"])
+def test_non_integer_modulus_exit_two(tmp_path, capsys, p):
+    path = write(tmp_path, "gf.json", {"field": {"kind": "GF", "p": p},
+                                       "algebra": {"kind": "matrix", "n": 1}})
+    code, report = run(capsys, "validate", path)
+    assert code == 2 and report["error"] == f"bad GF modulus {p!r}"
+
+
+@pytest.mark.parametrize("rank", ["free:+2", "free: 2", "free:2_0", "free:2.0", "free:"])
+def test_loose_free_rank_exit_two(tmp_path, capsys, rank):
+    path = write(tmp_path, "m2.json", M2)
+    code, report = run(capsys, "ybe", path, "--bimodule", rank)
+    assert code == 2
+    assert report["error"] == f"bad free rank in {rank!r}"
+
+
+def test_error_message_formats(tmp_path, capsys):
+    # input errors print their message alone, other errors lead with the type
+    path = write(tmp_path, "m2.json", M2)
+    code, report = run(capsys, "ybe", path, "--bimodule", "free:0")
+    assert code == 2
+    assert report["error"] == "ShapeMismatch: free rank must be >= 1"
+    code, report = run(capsys, "ybe", path, "--bimodule", "cube")
+    assert code == 2
+    assert report["error"] == "unknown bimodule 'cube'; use regular, square or free:<d>"
+
+
 def test_reports_byte_stable(tmp_path, capsys):
     path = write(tmp_path, "quat.json", QUAT)
     code1, _ = 0, None

@@ -1,5 +1,6 @@
 """Exact linear algebra: echelon forms, nullspaces, affine solves."""
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, strategies as st
@@ -170,3 +171,91 @@ def test_affine_solution_verifies_random(n, data):
         assert m.matvec(sol.particular) == b
         for v in sol.basis:
             assert all(x == 0 for x in m.matvec(v))
+
+
+# -- the integer product kernel against an all-pairs reference ----------------
+
+KERNEL_FIELDS = [QQ, GF(2), GF(7), GF(2**61 - 1)]
+
+
+@st.composite
+def sparse_matrices(draw, field, nrows, ncols):
+    """Random sparse matrix: about half the entries zero; over Q negative
+    values over several denominators, over GF(p) any residue."""
+    if field is QQ:
+        nonzero = st.builds(Fraction, st.integers(-6, 6), st.sampled_from([1, 2, 3, 4, 6]))
+    else:
+        nonzero = st.integers(0, field.p - 1)
+    entry = st.one_of(st.just(0), nonzero)
+    rows = []
+    for _ in range(nrows):
+        values = draw(st.lists(entry, min_size=ncols, max_size=ncols))
+        rows.append({j: field.coerce(v) for j, v in enumerate(values) if v})
+    return Matrix(field, nrows, ncols, rows)
+
+
+def reference_matmul(a, b):
+    F = a.field
+    rows = []
+    for i in range(a.nrows):
+        row = {}
+        for j in range(b.ncols):
+            acc = F.zero
+            for k in range(a.ncols):
+                acc = F.add(acc, F.mul(a.entry(i, k), b.entry(k, j)))
+            if acc != F.zero:
+                row[j] = acc
+        rows.append(row)
+    return Matrix(F, a.nrows, b.ncols, rows)
+
+
+def reference_kron(a, b):
+    F = a.field
+    rows = []
+    for i in range(a.nrows):
+        for k in range(b.nrows):
+            row = {}
+            for j in range(a.ncols):
+                for l in range(b.ncols):
+                    v = F.mul(a.entry(i, j), b.entry(k, l))
+                    if v != F.zero:
+                        row[j * b.ncols + l] = v
+            rows.append(row)
+    return Matrix(F, a.nrows * b.nrows, a.ncols * b.ncols, rows)
+
+
+def assert_canonical(m):
+    for row in m.rows:
+        for v in row.values():
+            if m.field is QQ:
+                assert type(v) is Fraction and v != 0
+                assert v.denominator > 0 and gcd(v.numerator, v.denominator) == 1
+            else:
+                assert type(v) is int and 0 < v < m.field.p
+
+
+@given(st.sampled_from(KERNEL_FIELDS), st.integers(0, 4), st.integers(0, 4),
+       st.integers(0, 4), st.data())
+def test_matmul_matches_reference(field, n, m, k, data):
+    a = data.draw(sparse_matrices(field, n, m))
+    b = data.draw(sparse_matrices(field, m, k))
+    product = a @ b
+    assert product == reference_matmul(a, b)
+    assert_canonical(product)
+    # [a | a] @ [b ; -b] cancels to zero entry by entry
+    doubled = Matrix(field, n, 2 * m, [{**r, **{m + j: v for j, v in r.items()}}
+                                       for r in a.rows])
+    stacked = Matrix(field, 2 * m, k, b.rows + (-b).rows)
+    cancelled = doubled @ stacked
+    assert cancelled.rows == [{} for _ in range(n)]
+
+
+@given(st.sampled_from(KERNEL_FIELDS), st.integers(0, 3), st.integers(0, 3),
+       st.integers(0, 3), st.integers(0, 3), st.data())
+def test_kron_matches_reference(field, n1, m1, n2, m2, data):
+    a = data.draw(sparse_matrices(field, n1, m1))
+    b = data.draw(sparse_matrices(field, n2, m2))
+    for x, y in ((a, b), (a, Matrix.identity(field, n2)), (Matrix.identity(field, n1), b)):
+        product = x.kron(y)
+        assert product == reference_kron(x, y)
+        assert_canonical(product)
