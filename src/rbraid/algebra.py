@@ -19,7 +19,7 @@ from .errors import (
     ShapeMismatch,
 )
 from .fields import Field
-from .linalg import Matrix
+from .linalg import Matrix, _scaled
 
 
 class Algebra:
@@ -55,6 +55,16 @@ class Algebra:
         self._right_mats: list[Matrix] | None = None
         self._validation: CheckReport | None = None
         self._commutative: bool | None = None
+
+    def _int_products(self):
+        """`basis_products` on integers: (products, modulus or None, scale)
+        with each constant times `scale` over Q; raw residues over GF(p)."""
+        if self.field.characteristic:
+            return self.basis_products, self.field.characteristic, 1
+        n = self.dim
+        flat, scale = _scaled([dict(t) for plane in self.basis_products for t in plane])
+        prods = [[tuple(flat[i * n + j].items()) for j in range(n)] for i in range(n)]
+        return prods, None, scale
 
     # -- identity ---------------------------------------------------------
 
@@ -229,16 +239,19 @@ def validate_algebra(algebra: Algebra) -> CheckReport:
     results.append(CheckResult("unit", unit_ok, witness))
 
     n = algebra.dim
-    prods = algebra.basis_products
+    prods, mod, scale = algebra._int_products()
     by_right = [[prods[m][k] for m in range(n)] for k in range(n)]  # e_m * e_k by k, m
 
     def expand(terms, products):
-        """sum_m c_m products[m] as a sparse {k: coefficient} map, zeros dropped."""
+        """sum_m c_m products[m] as a sparse {k: integer} map, zeros dropped;
+        over Q both sides of a triple carry scale**2."""
         out = {}
+        get = out.get
         for m, c in terms:
             for k, ck in products[m]:
-                v = F.mul(c, ck)
-                out[k] = F.add(out[k], v) if k in out else v
+                out[k] = get(k, 0) + c * ck
+        if mod:
+            return {k: w for k, v in out.items() if (w := v % mod)}
         return {k: v for k, v in out.items() if v}
 
     witness = None
@@ -246,7 +259,9 @@ def validate_algebra(algebra: Algebra) -> CheckReport:
         lhs = expand(prods[i][j], by_right[k])  # (e_i e_j) e_k
         rhs = expand(prods[j][k], prods[i])     # e_i (e_j e_k)
         if lhs != rhs:
-            dense = [[fmt(side.get(t, F.zero)) for t in range(n)] for side in (lhs, rhs)]
+            square = F.from_int(scale * scale)
+            dense = [[fmt(F.div(F.from_int(side.get(t, 0)), square)) for t in range(n)]
+                     for side in (lhs, rhs)]
             witness = (
                 f"(e_{i}e_{j})e_{k} = {dense[0]} != "
                 f"e_{i}(e_{j}e_{k}) = {dense[1]}"

@@ -16,7 +16,7 @@ from .algebra import Algebra
 from .checks import CheckReport, CheckResult
 from .errors import NotWellDefined, RBraidError, ShapeMismatch
 from .fields import Field
-from .linalg import Echelon, Matrix, coordinates_in_span
+from .linalg import Echelon, Matrix, _combination, coordinates_in_span
 from .rmatrix import RMatrixCertificate
 
 
@@ -40,20 +40,12 @@ class Bimodule:
 
     def left_operator(self, coords) -> Matrix:
         """Action matrix of the element with the given coordinates (left)."""
-        F = self.algebra.field
-        acc = Matrix.zeros(F, self.dim, self.dim)
-        for i, c in enumerate(coords):
-            if c != F.zero:
-                acc = acc + self.left[i].scale(c)
-        return acc
+        return _combination(self.algebra.field, self.dim, self.dim,
+                            ((c, self.left[i]) for i, c in enumerate(coords) if c))
 
     def right_operator(self, coords) -> Matrix:
-        F = self.algebra.field
-        acc = Matrix.zeros(F, self.dim, self.dim)
-        for i, c in enumerate(coords):
-            if c != F.zero:
-                acc = acc + self.right[i].scale(c)
-        return acc
+        return _combination(self.algebra.field, self.dim, self.dim,
+                            ((c, self.right[i]) for i, c in enumerate(coords) if c))
 
 
 def regular_bimodule(A: Algebra) -> Bimodule:
@@ -110,9 +102,8 @@ def check_bimodule(M: Bimodule) -> CheckReport:
     ok, witness = True, None
     for i in range(n):
         for j in range(n):
-            expect = Matrix.zeros(F, M.dim, M.dim)
-            for k, c in A.basis_products[i][j]:
-                expect = expect + M.left[k].scale(c)
+            expect = _combination(F, M.dim, M.dim,
+                                  ((c, M.left[k]) for k, c in A.basis_products[i][j]))
             if M.left[i] @ M.left[j] != expect:
                 ok, witness = False, f"left action fails on (e_{i}, e_{j})"
                 break
@@ -123,9 +114,8 @@ def check_bimodule(M: Bimodule) -> CheckReport:
     ok, witness = True, None
     for i in range(n):
         for j in range(n):
-            expect = Matrix.zeros(F, M.dim, M.dim)
-            for k, c in A.basis_products[j][i]:
-                expect = expect + M.right[k].scale(c)
+            expect = _combination(F, M.dim, M.dim,
+                                  ((c, M.right[k]) for k, c in A.basis_products[j][i]))
             if M.right[i] @ M.right[j] != expect:
                 ok, witness = False, f"right action fails on (e_{i}, e_{j})"
                 break
@@ -189,10 +179,6 @@ class QuotientSpace:
 
     def __repr__(self):
         return f"QuotientSpace({self.label!r}, {self.ambient_dim}->{self.dim})"
-
-    @property
-    def relation_rank(self) -> int:
-        return 0 if self._ech is None else self._ech.rank
 
     def relation_rows(self):
         return [] if self._ech is None else self._ech.rows
@@ -362,13 +348,14 @@ def braiding_ambient(cert: RMatrixCertificate, M: Bimodule, N: Bimodule) -> Matr
     F = M.algebra.field
     # group by the leg acting on M so only one Kronecker product per
     # algebra basis element is formed
-    n_ops: dict[int, Matrix] = {}
+    by_k: dict[int, list] = {}
     for (i, j, k), c in cert.r.iter_nonzero():
-        term = (N.left[i] @ N.right[j]).scale(c)
-        n_ops[k] = term if k not in n_ops else n_ops[k] + term
-    big = Matrix.zeros(F, N.dim * M.dim, N.dim * M.dim)
-    for k, op in n_ops.items():
-        big = big + op.kron(M.right[k])
+        by_k.setdefault(k, []).append((c, i, j))
+    big = _combination(F, N.dim * M.dim, N.dim * M.dim, (
+        (F.one, _combination(F, N.dim, N.dim, (
+            (c, N.left[i] @ N.right[j]) for c, i, j in terms)).kron(M.right[k]))
+        for k, terms in by_k.items()
+    ))
     return big @ swap_matrix(F, M.dim, N.dim)
 
 
@@ -434,10 +421,13 @@ def zeta_map(cert: RMatrixCertificate, M: Bimodule) -> Matrix:
     F = A.field
     inv = invariants(M)
     tdim = len(inv)
-    ops: dict[int, Matrix] = {}
+    by_i: dict[int, list] = {}
     for (i, j, k), c in cert.r.iter_nonzero():
-        term = (M.left[j] @ M.right[k]).scale(c)
-        ops[i] = term if i not in ops else ops[i] + term
+        by_i.setdefault(i, []).append((c, j, k))
+    ops = {
+        i: _combination(F, M.dim, M.dim, ((c, M.left[j] @ M.right[k]) for c, j, k in terms))
+        for i, terms in by_i.items()
+    }
     targets = []
     for beta in range(M.dim):
         e = [F.zero] * M.dim

@@ -30,6 +30,7 @@ from .algebra import (
     validate_algebra,
 )
 from .bimodules import audit_braiding, free_bimodule, regular_bimodule, square_bimodule
+from .checks import CheckReport
 from .classify import classify
 from .errors import ParseError, RBraidError, UnsupportedSize
 from .fields import Field, field_from_json
@@ -49,6 +50,10 @@ BIMODULE_CHOICES = "regular, square or free:<d>"
 # Nested algebra objects (tensor, direct_sum, opposite) deeper than this
 # are rejected before any recursion.
 MAX_SPEC_DEPTH = 64
+
+# No algebra or bimodule larger than this is built, even with --force:
+# the structure table alone holds dim**3 entries.
+MAX_BUILD_DIM = 64
 
 
 # -- input format -----------------------------------------------------------
@@ -74,12 +79,40 @@ def build_algebra_from_spec(spec: dict) -> Algebra:
     if "field" not in spec or "algebra" not in spec:
         raise ParseError("top level: need 'field' and 'algebra' keys")
     field = field_from_json(_expect_dict(spec["field"], "field"))
-    return _build_algebra(field, spec["algebra"], "algebra", 0)
+    _spec_dim(spec["algebra"], "algebra", 0)
+    return _build_algebra(field, spec["algebra"], "algebra")
 
 
-def _build_algebra(field: Field, obj, where: str, depth: int) -> Algebra:
+def _spec_dim(obj, where: str, depth: int) -> int | None:
+    """Dimension that `obj` describes, checked against MAX_BUILD_DIM at
+    every node before anything is built; None where the spec is malformed,
+    which the builder then reports."""
     if depth > MAX_SPEC_DEPTH:
         raise ParseError(f"algebra: nested deeper than {MAX_SPEC_DEPTH} levels")
+    if not isinstance(obj, dict):
+        return None
+    kind, dim = obj.get("kind"), None
+    if kind in ("tensor", "direct_sum"):
+        left = _spec_dim(obj.get("left"), where + ".left", depth + 1)
+        right = _spec_dim(obj.get("right"), where + ".right", depth + 1)
+        if left is not None and right is not None:
+            dim = left * right if kind == "tensor" else left + right
+    elif kind == "opposite":
+        dim = _spec_dim(obj.get("of"), where + ".of", depth + 1)
+    elif kind == "matrix" and type(obj.get("n")) is int and obj["n"] > 0:
+        dim = obj["n"] ** 2
+    elif kind == "quaternion":
+        dim = 4
+    elif kind == "poly_quotient" and isinstance(obj.get("modulus"), list):
+        dim = len(obj["modulus"]) - 1
+    elif kind == "custom" and type(obj.get("dim")) is int:
+        dim = obj["dim"]
+    if dim is not None and dim > MAX_BUILD_DIM:
+        raise UnsupportedSize(f"{where}: dim {dim} exceeds the build limit {MAX_BUILD_DIM}")
+    return dim
+
+
+def _build_algebra(field: Field, obj, where: str) -> Algebra:
     obj = _expect_dict(obj, where)
     kind = obj.get("kind")
     try:
@@ -93,16 +126,16 @@ def _build_algebra(field: Field, obj, where: str, depth: int) -> Algebra:
             return build_poly_quotient(modulus, field)
         if kind == "tensor":
             return build_tensor_product(
-                _build_algebra(field, obj["left"], where + ".left", depth + 1),
-                _build_algebra(field, obj["right"], where + ".right", depth + 1),
+                _build_algebra(field, obj["left"], where + ".left"),
+                _build_algebra(field, obj["right"], where + ".right"),
             )
         if kind == "direct_sum":
             return build_direct_sum(
-                _build_algebra(field, obj["left"], where + ".left", depth + 1),
-                _build_algebra(field, obj["right"], where + ".right", depth + 1),
+                _build_algebra(field, obj["left"], where + ".left"),
+                _build_algebra(field, obj["right"], where + ".right"),
             )
         if kind == "opposite":
-            return opposite(_build_algebra(field, obj["of"], where + ".of", depth + 1))
+            return opposite(_build_algebra(field, obj["of"], where + ".of"))
         if kind == "custom":
             dim = _expect_int(obj["dim"], where + ".dim")
             unit = [field.parse(str(c)) for c in obj["unit"]]
@@ -165,6 +198,10 @@ def _parse_bimodule(A: Algebra, text: str):
         rank = text[len("free:"):]
         if not (rank.isascii() and rank.isdigit()):
             raise ParseError(f"bad free rank in {text!r}")
+        # bound the length first: int() refuses strings of over 4300 digits
+        rank = rank.lstrip("0") or "0"
+        if len(rank) > 9 or int(rank) * A.dim > MAX_BUILD_DIM:
+            raise UnsupportedSize(f"free bimodule: dim exceeds the build limit {MAX_BUILD_DIM}")
         return free_bimodule(A, int(rank))
     raise ParseError(f"unknown bimodule {text!r}; use {BIMODULE_CHOICES}")
 
@@ -221,13 +258,21 @@ def _solver_cap(args) -> int | None:
     return None if args.force else DEFAULT_SIZE_CAP
 
 
-def _cmd_solve(args) -> int:
+def _solve(command: str, args):
+    """(started, algebra, digest, certificate) for the input file; when no
+    R-matrix exists the infeasible report is emitted and the certificate
+    is None."""
     started = time.perf_counter()
     A, digest = _load_algebra(args.file)
     cert = solve_rmatrix(A, size_cap=_solver_cap(args))
     if cert is None:
-        payload = {"algebra": A.label}
-        _emit(_report("solve", digest, "infeasible", payload, started), args)
+        _emit(_report(command, digest, "infeasible", {"algebra": A.label}, started), args)
+    return started, A, digest, cert
+
+
+def _cmd_solve(args) -> int:
+    started, A, digest, cert = _solve("solve", args)
+    if cert is None:
         return 1
     payload = {"certificate": cert.to_json()}
     status = "unique" if cert.valid else "invalid_certificate"
@@ -261,25 +306,19 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_ybe(args) -> int:
-    started = time.perf_counter()
-    A, digest = _load_algebra(args.file)
-    cert = solve_rmatrix(A, size_cap=_solver_cap(args))
+    started, A, digest, cert = _solve("ybe", args)
     if cert is None:
-        _emit(_report("ybe", digest, "infeasible", {"algebra": A.label}, started), args)
         return 1
     V = _parse_bimodule(A, args.bimodule)
     op = build_omega(cert, V, size_cap=None if args.force else DEFAULT_DIM_CAP)
-    checks = [check_qybe(op), check_braid(op), check_omega_cubed(op)]
+    checks = CheckReport([check_qybe(op), check_braid(op), check_omega_cubed(op)])
     rank, rank_sq = omega_rank_profile(op)
-    ok = all(c.passed for c in checks)
+    ok = checks.passed
     payload = {
         "algebra": A.label,
         "bimodule": args.bimodule,
         "dim": V.dim,
-        "checks": {
-            c.name: True if c.passed else {"passed": False, "witness": c.witness or ""}
-            for c in checks
-        },
+        "checks": checks.to_json(),
         "rank": rank,
         "rank_squared": rank_sq,
         "omega": op.to_json(),
@@ -289,11 +328,8 @@ def _cmd_ybe(args) -> int:
 
 
 def _cmd_audit(args) -> int:
-    started = time.perf_counter()
-    A, digest = _load_algebra(args.file)
-    cert = solve_rmatrix(A, size_cap=_solver_cap(args))
+    started, A, digest, cert = _solve("audit", args)
     if cert is None:
-        _emit(_report("audit", digest, "infeasible", {"algebra": A.label}, started), args)
         return 1
     names = [t.strip() for t in args.triple.split(",")]
     if len(names) != 3:

@@ -85,12 +85,6 @@ class Field:
         den = int(m.group(2)) if m.group(2) is not None else 1
         return self.div(self.from_int(num), self.from_int(den))
 
-    def sum(self, values):
-        acc = self.zero
-        for v in values:
-            acc = self.add(acc, v)
-        return acc
-
 
 class RationalField(Field):
     """The rational numbers with arbitrary-precision Fraction values."""

@@ -1,20 +1,21 @@
 """Exact sparse linear algebra over a Field.
 
 Matrices store one dict per row mapping column -> nonzero value.  All
-eliminations are plain Gauss-Jordan with eager canonicalization; the
-reduced row echelon form of a matrix is unique, so every derived object
-(rank, pivot set, nullspace parametrization, affine solutions) is
-deterministic and byte-stable across runs.
+eliminations are Gauss-Jordan on integer rows (fraction-free over Q, raw
+residues over GF(p)); the reduced row echelon form of a matrix is
+unique, so every derived object (rank, pivot set, nullspace
+parametrization, affine solutions) is deterministic and byte-stable
+across runs.
 
-Every matrix product runs on one integer kernel: rational operands are
-scaled by a common denominator, and each output entry is divided by it
-(or reduced mod p) once.
+Every matrix product and sum runs on integers the same way: rational
+operands are scaled by a common denominator, and each output entry is
+divided by it (or reduced mod p) once.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 from .errors import NotSquare, ShapeMismatch
 from .fields import Field
@@ -24,74 +25,149 @@ IntRows = list[dict]
 
 
 class Echelon:
-    """Incremental Gauss-Jordan eliminator.
+    """Incremental Gauss-Jordan eliminator on integer rows.
 
-    Stored rows are fully reduced: coefficient one at their pivot column
-    and zero at every other pivot column.  Columns at or beyond
-    `pivot_limit` are never chosen as pivots; rows whose pivotable part
-    reduces to zero but which keep support beyond the limit are retained
-    as residue rows (they drive consistency checks for augmented solves).
+    Each stored row has its pivot column and no support on any other
+    pivot column.  Over GF(p) a stored row holds residues with one at its
+    pivot.  Over Q elimination is fraction-free: a stored row is a
+    primitive integer row (content divided out) with a positive pivot
+    entry, and the field value of an entry is the entry divided by the
+    pivot entry; input rows over Q may hold ints as well as Fractions.
+    `rows` gives the stored rows in field values.  Columns
+    at or beyond `pivot_limit` are never chosen as pivots; rows whose
+    pivotable part reduces to zero but which keep support beyond the
+    limit are retained in field values as residue rows (they drive
+    consistency checks for augmented solves).
     """
 
     def __init__(self, field: Field, ncols: int, pivot_limit: int | None = None):
         self.field = field
         self.ncols = ncols
         self.pivot_limit = ncols if pivot_limit is None else pivot_limit
-        self.rows: list[Row] = []
         self.pivots: dict[int, int] = {}  # pivot column -> row index
         self.residues: list[Row] = []
+        self._mod = field.characteristic
+        self._rows: IntRows = []
+        self._values: list[Row] | None = None  # field values of _rows over Q
 
     @property
     def rank(self) -> int:
-        return len(self.rows)
+        return len(self._rows)
+
+    @property
+    def rows(self) -> list[Row]:
+        """Stored rows in field values, one at the pivot (do not mutate)."""
+        if self._mod:
+            return self._rows
+        if self._values is None:
+            values: list = [None] * len(self._rows)
+            for p, ridx in self.pivots.items():
+                r = self._rows[ridx]
+                a = r[p]
+                if a == 1:  # the common case, and the cheap Fraction path
+                    values[ridx] = {j: Fraction(v) for j, v in r.items()}
+                else:
+                    values[ridx] = {j: Fraction(v, a) for j, v in r.items()}
+            self._values = values
+        return self._values
+
+    def _residue(self, row: Row) -> tuple[Row, int]:
+        """(integer residue of `row` modulo the stored rows, its scale): the
+        residue in field values is each entry divided by the scale."""
+        mod, pivots, stored = self._mod, self.pivots, self._rows
+        if mod:
+            out, scale = dict(row), 1
+        else:
+            (out,), scale = _scaled((row,))
+        # A stored row has no support on other pivot columns, so a single
+        # pass over the initial pivot hits fully reduces the input.
+        for c in [c for c in out if c in pivots]:
+            coef = out.pop(c)
+            r = stored[pivots[c]]
+            if mod:
+                for j, v in r.items():
+                    if j != c:
+                        w = (out.get(j, 0) - coef * v) % mod
+                        if w:
+                            out[j] = w
+                        else:
+                            del out[j]
+                continue
+            a = r[c]
+            if a != 1:
+                scale *= a
+                for j in out:
+                    out[j] *= a
+            for j, v in r.items():
+                if j != c:
+                    w = out.get(j, 0) - coef * v
+                    if w:
+                        out[j] = w
+                    else:
+                        del out[j]
+        return out, scale
 
     def reduce(self, row: Row) -> Row:
         """Residue of `row` modulo the current row span (fresh dict)."""
-        F = self.field
-        zero, sub, mul = F.zero, F.sub, F.mul
-        out = dict(row)
-        # A stored row has no support on other pivot columns, so a single
-        # pass over the initial pivot hits fully reduces the input.
-        for c in [c for c in out if c in self.pivots]:
-            coef = out.pop(c)
-            for j, v in self.rows[self.pivots[c]].items():
-                if j == c:
-                    continue
-                w = sub(out.get(j, zero), mul(coef, v))
-                if w:
-                    out[j] = w
-                else:
-                    out.pop(j, None)
-        return out
+        out, scale = self._residue(row)
+        if self._mod:
+            return out
+        return {j: Fraction(v, scale) for j, v in out.items()}
 
     def insert(self, row: Row) -> bool:
         """Add one row; return True when the rank grew."""
-        F = self.field
-        out = self.reduce(row)
+        mod = self._mod
+        out, scale = self._residue(row)
         if not out:
             return False
         pivotable = [c for c in out if c < self.pivot_limit]
         if not pivotable:
-            self.residues.append(out)
+            self.residues.append(
+                out if mod else {j: Fraction(v, scale) for j, v in out.items()})
             return False
         p = min(pivotable)
-        scale = F.inv(out[p])
-        if scale != F.one:
-            out = {j: F.mul(scale, v) for j, v in out.items()}
-        zero, sub, mul = F.zero, F.sub, F.mul
-        for r in self.rows:
-            if p in r:
-                coef = r.pop(p)
+        head = out[p]
+        if mod:
+            if head != 1:
+                inv = pow(head, -1, mod)
+                out = {j: v * inv % mod for j, v in out.items()}
+        else:
+            g = gcd(*out.values())
+            if head < 0:
+                g = -g
+            if g != 1:
+                out = {j: v // g for j, v in out.items()}
+            head = out[p]
+        for r in self._rows:
+            if p not in r:
+                continue
+            coef = r.pop(p)
+            if mod:
                 for j, v in out.items():
-                    if j == p:
-                        continue
-                    w = sub(r.get(j, zero), mul(coef, v))
+                    if j != p:
+                        w = (r.get(j, 0) - coef * v) % mod
+                        if w:
+                            r[j] = w
+                        else:
+                            del r[j]
+                continue
+            if head != 1:
+                for j in r:
+                    r[j] *= head
+            for j, v in out.items():
+                if j != p:
+                    w = r.get(j, 0) - coef * v
                     if w:
                         r[j] = w
                     else:
-                        r.pop(j, None)
-        self.pivots[p] = len(self.rows)
-        self.rows.append(out)
+                        del r[j]
+            g = gcd(*r.values())
+            if g != 1:
+                for j in r:
+                    r[j] //= g
+        self.pivots[p] = len(self._rows)
+        self._rows.append(out)
+        self._values = None
         return True
 
     def extend(self, rows) -> None:
@@ -344,23 +420,59 @@ def _product(a: Matrix, b: Matrix) -> list[Row]:
     return rows
 
 
+def _combination(field: Field, nrows: int, ncols: int, terms) -> Matrix:
+    """sum c * m over the (c, m) pairs of the iterable `terms`, read once
+    and one term at a time: rows accumulate on integers (over Q times a
+    common denominator, raised only when a term needs it) and each output
+    entry is divided by it (or reduced mod p) once."""
+    mod = field.characteristic
+    acc: IntRows = [{} for _ in range(nrows)]
+    scale = 1
+    for c, m in terms:
+        if mod:
+            k, rows = c, m.rows
+        else:
+            rows, s = _scaled(m.rows)
+            d = c.denominator * s
+            if scale % d:
+                grow = lcm(scale, d) // scale
+                for out in acc:
+                    for j in out:
+                        out[j] *= grow
+                scale *= grow
+            k = c.numerator * (scale // d)
+        for out, r in zip(acc, rows):
+            get = out.get
+            for j, v in r.items():
+                out[j] = get(j, 0) + k * v
+    if mod:
+        rows = [{j: w for j, v in r.items() if (w := v % mod)} for r in acc]
+    else:
+        rows = [{j: Fraction(v, scale) for j, v in r.items() if v} for r in acc]
+    return Matrix(field, nrows, ncols, rows)
+
+
 def _int_rows(m: Matrix) -> tuple[IntRows, int | None, int]:
     """(integer rows of `m` times `scale`, modulus or None, scale); over
     GF(p) these are the rows themselves, which callers must not mutate."""
-    F = m.field
-    if F.characteristic:
-        return m.rows, F.characteristic, 1
+    if m.field.characteristic:
+        return m.rows, m.field.characteristic, 1
+    rows, scale = _scaled(m.rows)
+    return rows, None, scale
+
+
+def _scaled(rows) -> tuple[IntRows, int]:
+    """(integer rows, scale): rational `rows` times the common denominator
+    of their entries, which is `scale`."""
     scale = 1
-    for r in m.rows:
+    for r in rows:
         for v in r.values():
             if scale % v.denominator:
                 scale = lcm(scale, v.denominator)
     if scale == 1:  # the common case: identities, sections, swaps
-        rows = [{j: v.numerator for j, v in r.items()} for r in m.rows]
-    else:
-        rows = [{j: v.numerator * (scale // v.denominator) for j, v in r.items()}
-                for r in m.rows]
-    return rows, None, scale
+        return [{j: v.numerator for j, v in r.items()} for r in rows], 1
+    return [{j: v.numerator * (scale // v.denominator) for j, v in r.items()}
+            for r in rows], scale
 
 
 def _int_matmul(a: IntRows, b: IntRows, mod: int | None) -> IntRows:
@@ -387,17 +499,18 @@ def _int_matmul(a: IntRows, b: IntRows, mod: int | None) -> IntRows:
 def nullspace_from_echelon(ech: Echelon):
     """Kernel basis in the canonical free-variable parametrization."""
     F = ech.field
-    free = ech.free_columns()
-    basis = []
-    for f in free:
+    basis = {}
+    for f in ech.free_columns():
         vec = [F.zero] * ech.pivot_limit
         vec[f] = F.one
-        for p, ridx in ech.pivots.items():
-            v = ech.rows[ridx].get(f)
-            if v is not None:
+        basis[f] = vec
+    rows = ech.rows
+    for p, ridx in ech.pivots.items():
+        for f, v in rows[ridx].items():
+            vec = basis.get(f)
+            if vec is not None:
                 vec[p] = F.neg(v)
-        basis.append(vec)
-    return basis
+    return list(basis.values())
 
 
 def coordinates_in_span(field: Field, basis, targets):

@@ -25,6 +25,7 @@ point).  Every solved R is re-verified against the complete axiom list by
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 
 from .algebra import (
     Algebra,
@@ -42,7 +43,7 @@ from .errors import (
     UnvalidatedAlgebra,
 )
 from .fields import Field
-from .linalg import Echelon, Matrix, nullspace_from_echelon
+from .linalg import Echelon, Matrix, _scaled, nullspace_from_echelon
 from .tensor import TensorElement, tensor_mul, unit_tensor
 
 DEFAULT_SIZE_CAP = 20
@@ -100,14 +101,18 @@ def pair_invariant_basis(A: Algebra):
     the canonical nullspace parametrization."""
     n = A.dim
     F = A.field
-    left = A.left_mult_matrices()
-    right = A.right_mult_matrices()
+    mod = F.characteristic
+    # Only the span of the constraint rows matters, so over Q they are
+    # built on integers: the action matrices times one common denominator.
+    actions = [r for m in A.left_mult_matrices() + A.right_mult_matrices() for r in m.rows]
+    if not mod:
+        actions, _ = _scaled(actions)
     ech = Echelon(F, n * n)
     # One block of n^2 constraint rows per acting basis element; rows are
     # generated on the fly so only the echelon state is held in memory.
     for t in range(n):
-        lt = left[t].rows
-        rt = right[t].rows
+        lt = actions[t * n:(t + 1) * n]
+        rt = actions[(n + t) * n:(n + t + 1) * n]
         for c in range(n):
             lrow = lt[c]
             for d in range(n):
@@ -117,11 +122,13 @@ def pair_invariant_basis(A: Algebra):
                     row[x * n + d] = v
                 for y, v in rrow.items():
                     key = c * n + y
-                    w = F.sub(row.get(key, F.zero), v)
-                    if w == F.zero:
-                        row.pop(key, None)
-                    else:
+                    w = row.get(key, 0) - v
+                    if mod:
+                        w %= mod
+                    if w:
                         row[key] = w
+                    else:
+                        row.pop(key, None)
                 if row:
                     ech.insert(row)
     return nullspace_from_echelon(ech)
@@ -146,31 +153,33 @@ def solve_rmatrix(A: Algebra, size_cap: int | None = DEFAULT_SIZE_CAP):
     w_nonzeros = [
         [(xy, v) for xy, v in enumerate(w) if v != F.zero] for w in w_basis
     ]
-    prods = A.basis_products
+    prods, mod, pscale = A._int_products()
+    if mod:
+        w_ints, wscale = [dict(w) for w in w_nonzeros], 1
+    else:
+        w_ints, wscale = _scaled([dict(w) for w in w_nonzeros])
 
     # Affine system: unknowns x[j, t] with R = sum x[j,t] e_j (x) w_t.
     # Block 1 demands (leg1*leg2) (x) leg3 = 1 (x) 1, block 2 demands
-    # leg2 (x) (leg3*leg1) = 1 (x) 1.
-    rows: list[dict] = [{} for _ in range(2 * n * n)]
+    # leg2 (x) (leg3*leg1) = 1 (x) 1.  Entries accumulate as integers
+    # (over Q times pscale * wscale) and are normalized once each.
+    acc: list[dict] = [{} for _ in range(2 * n * n)]
     for j in range(n):
         for t in range(wdim):
             col = j * wdim + t
-            for xy, v in w_nonzeros[t]:
+            for xy, v in w_ints[t].items():
                 x, y = divmod(xy, n)
                 for k, ck in prods[j][x]:
-                    row = rows[k * n + y]
-                    w = F.add(row.get(col, F.zero), F.mul(ck, v))
-                    if w == F.zero:
-                        row.pop(col, None)
-                    else:
-                        row[col] = w
+                    row = acc[k * n + y]
+                    row[col] = row.get(col, 0) + ck * v
                 for d, cd in prods[y][j]:
-                    row = rows[n * n + x * n + d]
-                    w = F.add(row.get(col, F.zero), F.mul(cd, v))
-                    if w == F.zero:
-                        row.pop(col, None)
-                    else:
-                        row[col] = w
+                    row = acc[n * n + x * n + d]
+                    row[col] = row.get(col, 0) + cd * v
+    if mod:
+        rows = [{c: w for c, v in r.items() if (w := v % mod)} for r in acc]
+    else:
+        scale = pscale * wscale
+        rows = [{c: Fraction(v, scale) for c, v in r.items() if v} for r in acc]
     rhs_block = [F.zero] * (n * n)
     for c, uc in enumerate(A.unit):
         if uc == F.zero:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from .bimodules import Bimodule, swap_matrix
 from .checks import CheckResult
 from .errors import UnsupportedSize, UnverifiedCertificate
-from .linalg import IntRows, Matrix, _int_matmul, _int_rows
+from .linalg import IntRows, Matrix, _combination, _int_matmul, _int_rows
 from .rmatrix import RMatrixCertificate
 
 DEFAULT_DIM_CAP = 16
@@ -50,9 +50,10 @@ def build_omega(cert: RMatrixCertificate, V: Bimodule,
         raise UnsupportedSize(f"bimodule dim {V.dim} exceeds cap {size_cap}")
     F = V.algebra.field
     m = V.dim
-    big = Matrix.zeros(F, m * m, m * m)
-    for (i, j, k), c in cert.r.iter_nonzero():
-        big = big + (V.left[i] @ V.right[j]).kron(V.left[k]).scale(c)
+    big = _combination(F, m * m, m * m, (
+        (c, (V.left[i] @ V.right[j]).kron(V.left[k]))
+        for (i, j, k), c in cert.r.iter_nonzero()
+    ))
     return YBOperator(V, big @ swap_matrix(F, m, m))
 
 

@@ -78,6 +78,16 @@ def test_corrupted_table_fails_with_witness():
       [["0", "1", "0"], ["0", "0", "0"], ["0", "0", "0"]],
       [["0", "0", "1"], ["0", "1", "0"], ["0", "3", "4"]]],
      "(e_2e_2)e_1 = ['0', '4', '0'] != e_2(e_2e_1) = ['0', '1', '0']"),
+    (QQ,
+     [[["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]],
+      [["0", "1", "0"], ["1/3", "-2/5", "0"], ["5/6", "0", "-1/2"]],
+      [["0", "0", "1"], ["0", "3/4", "1"], ["-7/3", "0", "2/9"]]],
+     "(e_1e_1)e_2 = ['-1/3', '0', '8/15'] != e_1(e_1e_2) = ['-5/12', '5/6', '1/4']"),
+    (GF(7),
+     [[["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]],
+      [["0", "1", "0"], ["3", "5", "0"], ["0", "6", "2"]],
+      [["0", "0", "1"], ["4", "0", "1"], ["0", "2", "5"]]],
+     "(e_1e_1)e_2 = ['0', '2', '6'] != e_1(e_1e_2) = ['4', '0', '4']"),
 ])
 def test_non_associative_custom_witness(field, table, witness):
     # the witness is the first failing triple in (i, j, k) order, with

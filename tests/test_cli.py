@@ -5,6 +5,7 @@ import sys
 
 import pytest
 
+from rbraid import cli
 from rbraid.cli import main
 
 M2 = {"field": {"kind": "Q"}, "algebra": {"kind": "matrix", "n": 2}}
@@ -203,6 +204,69 @@ def test_loose_free_rank_exit_two(tmp_path, capsys, rank):
     code, report = run(capsys, "ybe", path, "--bimodule", rank)
     assert code == 2
     assert report["error"] == f"bad free rank in {rank!r}"
+
+
+OVERSIZED = [
+    {"kind": "matrix", "n": 9},
+    {"kind": "matrix", "n": 10 ** 40},
+    {"kind": "poly_quotient", "modulus": ["0"] * 65 + ["1"]},
+    {"kind": "custom", "dim": 65, "unit": [], "table": []},
+    {"kind": "tensor", "left": {"kind": "matrix", "n": 5},
+     "right": {"kind": "quaternion", "a": "1", "b": "1"}},
+    {"kind": "direct_sum", "left": {"kind": "matrix", "n": 8},
+     "right": {"kind": "matrix", "n": 1}},
+    {"kind": "opposite", "of": {"kind": "matrix", "n": 9}},
+    {"kind": "tensor", "left": {"kind": "group"}, "right": {"kind": "matrix", "n": 9}},
+]
+
+
+def refuse(*args, **kwargs):
+    raise AssertionError("builder called")
+
+
+def refuse_to_build(monkeypatch):
+    for name in ["Algebra", "build_matrix_algebra", "build_quaternion",
+                 "build_poly_quotient", "build_tensor_product", "build_direct_sum",
+                 "opposite", "free_bimodule"]:
+        monkeypatch.setattr(cli, name, refuse)
+
+
+@pytest.mark.parametrize("algebra", OVERSIZED)
+@pytest.mark.parametrize("command", [["validate"], ["solve", "--force"], ["classify"]])
+def test_oversized_spec_rejected_before_building(tmp_path, capsys, monkeypatch,
+                                                 algebra, command):
+    refuse_to_build(monkeypatch)
+    path = write(tmp_path, "big.json", {"field": {"kind": "Q"}, "algebra": algebra})
+    code, report = run(capsys, command[0], path, *command[1:])
+    assert code == 2 and report["status"] == "error"
+    assert "exceeds the build limit 64" in report["error"]
+
+
+def test_build_limit_boundary():
+    assert cli._spec_dim({"kind": "matrix", "n": 8}, "algebra", 0) == cli.MAX_BUILD_DIM
+    assert cli._spec_dim({"kind": "tensor", "left": {"kind": "matrix", "n": 4},
+                          "right": {"kind": "quaternion"}}, "algebra", 0) == 64
+    # malformed specs are left to the builder and its messages
+    assert cli._spec_dim({"kind": "matrix", "n": -9}, "algebra", 0) is None
+    assert cli._spec_dim({"kind": "tensor", "left": 5,
+                          "right": {"kind": "matrix", "n": 2}}, "algebra", 0) is None
+
+
+@pytest.mark.parametrize("rank", ["free:17", "free:" + "9" * 5000], ids=["17", "5000-digits"])
+def test_oversized_free_rank_rejected_before_building(tmp_path, capsys, monkeypatch, rank):
+    path = write(tmp_path, "m2.json", M2)
+    monkeypatch.setattr(cli, "free_bimodule", refuse)
+    code, report = run(capsys, "audit", path, "--triple", f"regular,regular,{rank}")
+    assert code == 2 and report["status"] == "error"
+    assert "exceeds the build limit 64" in report["error"]
+    code, report = run(capsys, "ybe", path, "--bimodule", rank)
+    assert code == 2 and "exceeds the build limit 64" in report["error"]
+
+
+def test_free_rank_with_leading_zeros(tmp_path, capsys):
+    path = write(tmp_path, "m2.json", M2)
+    code, report = run(capsys, "ybe", path, "--bimodule", "free:" + "0" * 5000 + "2")
+    assert code == 0 and report["payload"]["dim"] == 8
 
 
 def test_error_message_formats(tmp_path, capsys):

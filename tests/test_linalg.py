@@ -7,7 +7,7 @@ from hypothesis import given, strategies as st
 
 from rbraid import GF, QQ, Matrix, build_matrix_algebra, center
 from rbraid.errors import NotSquare, ShapeMismatch
-from rbraid.linalg import coordinates_in_span
+from rbraid.linalg import Echelon, _combination, coordinates_in_span, nullspace_from_echelon
 
 
 def mat(entries, field=QQ):
@@ -259,3 +259,212 @@ def test_kron_matches_reference(field, n1, m1, n2, m2, data):
         product = x.kron(y)
         assert product == reference_kron(x, y)
         assert_canonical(product)
+
+
+# -- integer elimination against a Fraction Gauss-Jordan reference -----------
+
+
+class ReferenceEchelon:
+    """Gauss-Jordan on field values with F.sub/F.mul per entry: stored rows
+    have one at their pivot and zero at every other pivot column."""
+
+    def __init__(self, field, ncols, pivot_limit=None):
+        self.field = field
+        self.pivot_limit = ncols if pivot_limit is None else pivot_limit
+        self.rows, self.pivots, self.residues = [], {}, []
+
+    def reduce(self, row):
+        F = self.field
+        out = dict(row)
+        for c in [c for c in out if c in self.pivots]:
+            coef = out.pop(c)
+            for j, v in self.rows[self.pivots[c]].items():
+                if j != c:
+                    w = F.sub(out.get(j, F.zero), F.mul(coef, v))
+                    if w:
+                        out[j] = w
+                    else:
+                        out.pop(j, None)
+        return out
+
+    def insert(self, row):
+        F = self.field
+        out = self.reduce(row)
+        if not out:
+            return False
+        pivotable = [c for c in out if c < self.pivot_limit]
+        if not pivotable:
+            self.residues.append(out)
+            return False
+        p = min(pivotable)
+        scale = F.inv(out[p])
+        out = {j: F.mul(scale, v) for j, v in out.items()}
+        for r in self.rows:
+            if p in r:
+                coef = r.pop(p)
+                for j, v in out.items():
+                    if j != p:
+                        w = F.sub(r.get(j, F.zero), F.mul(coef, v))
+                        if w:
+                            r[j] = w
+                        else:
+                            r.pop(j, None)
+        self.pivots[p] = len(self.rows)
+        self.rows.append(out)
+        return True
+
+    def nullspace(self):
+        F = self.field
+        basis = []
+        for f in range(self.pivot_limit):
+            if f in self.pivots:
+                continue
+            vec = [F.zero] * self.pivot_limit
+            vec[f] = F.one
+            for p, ridx in self.pivots.items():
+                if f in self.rows[ridx]:
+                    vec[p] = F.neg(self.rows[ridx][f])
+            basis.append(vec)
+        return basis
+
+    def column_values(self, col):
+        """(consistent, value of `col` at each pivot) for an augmented column."""
+        F = self.field
+        if any(res.get(col) for res in self.residues):
+            return False, None
+        values = [F.zero] * self.pivot_limit
+        for p, ridx in self.pivots.items():
+            values[p] = self.rows[ridx].get(col, F.zero)
+        return True, values
+
+
+def assert_canonical_values(field, values):
+    for v in values:
+        if field is QQ:
+            assert type(v) is Fraction
+            assert v.denominator > 0 and gcd(v.numerator, v.denominator) == 1
+        else:
+            assert type(v) is int and 0 <= v < field.p
+
+
+def assert_canonical_rows(field, rows):
+    for row in rows:
+        assert all(v != 0 for v in row.values())
+        assert_canonical_values(field, row.values())
+
+
+@st.composite
+def elimination_rows(draw, field):
+    """Sparse rows over `field`: random rows, then rows that depend on
+    them (combinations, some of them zero after reduction), shuffled."""
+    ncols = draw(st.integers(1, 6))
+    if field is QQ:
+        nonzero = st.builds(Fraction, st.integers(-6, 6).filter(bool), st.integers(1, 6))
+    else:
+        nonzero = st.integers(1, field.p - 1)
+    entry = st.one_of(st.just(0), st.just(0), nonzero)
+    rows = []
+    for _ in range(draw(st.integers(0, 5))):
+        values = draw(st.lists(entry, min_size=ncols, max_size=ncols))
+        rows.append([field.coerce(v) for v in values])
+    F = field
+    for _ in range(draw(st.integers(0, 4))):
+        if not rows:
+            break
+        combo = [F.zero] * ncols
+        for base in draw(st.lists(st.sampled_from(rows), min_size=1, max_size=3)):
+            c = field.coerce(draw(nonzero))
+            combo = [F.add(x, F.mul(c, y)) for x, y in zip(combo, base)]
+        rows.append(combo)
+    rows = draw(st.permutations(rows))
+    pivot_limit = draw(st.integers(0, ncols))
+    # the probe is a random vector plus a multiple of some row, so that it
+    # usually hits pivots
+    probe = [field.coerce(v) for v in draw(st.lists(entry, min_size=ncols, max_size=ncols))]
+    if rows:
+        c = field.coerce(draw(nonzero))
+        probe = [F.add(x, F.mul(c, y)) for x, y in zip(probe, draw(st.sampled_from(rows)))]
+    as_dict = lambda vec: {j: v for j, v in enumerate(vec) if v}
+    return ncols, pivot_limit, [as_dict(r) for r in rows], as_dict(probe)
+
+
+@pytest.mark.parametrize("field", KERNEL_FIELDS)
+@given(data=st.data())
+def test_echelon_matches_reference(field, data):
+    ncols, pivot_limit, rows, probe = data.draw(elimination_rows(field))
+    ech = Echelon(field, ncols, pivot_limit)
+    ref = ReferenceEchelon(field, ncols, pivot_limit)
+    for row in rows:
+        assert ech.insert(dict(row)) == ref.insert(dict(row))
+    assert ech.rank == len(ref.rows)
+    assert ech.pivots == ref.pivots
+    assert ech.pivot_columns() == tuple(sorted(ref.pivots))
+    assert ech.rows == ref.rows
+    assert ech.residues == ref.residues
+    assert ech.reduce(probe) == ref.reduce(probe)
+    assert nullspace_from_echelon(ech) == ref.nullspace()
+    assert_canonical_rows(field, ech.rows)
+    assert_canonical_rows(field, ech.residues)
+    assert_canonical_rows(field, [ech.reduce(probe)])
+    for vec in nullspace_from_echelon(ech):
+        assert_canonical_values(field, vec)
+
+
+@pytest.mark.parametrize("field", KERNEL_FIELDS)
+@given(data=st.data())
+def test_solves_match_reference(field, data):
+    ncols, _, rows, probe = data.draw(elimination_rows(field))
+    m = Matrix(field, len(rows), ncols, [dict(r) for r in rows])
+    # the right-hand side is a row combination (consistent) or a random
+    # vector (often inconsistent)
+    b = [r.get(0, field.zero) for r in rows]
+    if data.draw(st.booleans()) and rows:
+        x = [field.coerce(data.draw(st.integers(-3, 3))) for _ in range(ncols)]
+        b = m.matvec(x)
+    sol = m.solve_affine(b)
+    ref = ReferenceEchelon(field, ncols + 1, ncols)
+    for r, bi in zip(rows, b):
+        ref.insert({**r, ncols: bi} if bi else dict(r))
+    consistent, particular = ref.column_values(ncols)
+    assert sol.is_empty == (not consistent)
+    if consistent:
+        assert sol.particular == particular
+        assert sol.basis == ref.nullspace()
+        assert_canonical_values(field, sol.particular)
+    # coordinates of the probe and of a combination of independent rows
+    basis = [[field.zero] * ncols for _ in range(ncols)]
+    for p, ridx in ref.pivots.items():
+        for j, v in ref.rows[ridx].items():
+            if j < ncols:
+                basis[p][j] = v
+    basis = [vec for p, vec in enumerate(basis) if p in ref.pivots]
+    inside = [field.zero] * ncols
+    for vec in basis:
+        inside = [field.add(x, y) for x, y in zip(inside, vec)]
+    targets = [inside, [probe.get(j, field.zero) for j in range(ncols)]]
+    coords = coordinates_in_span(field, basis, targets)
+    span = ReferenceEchelon(field, len(basis) + 2, len(basis))
+    for i in range(ncols):
+        row = {s: vec[i] for s, vec in enumerate(basis) if vec[i]}
+        row.update({len(basis) + t: tgt[i] for t, tgt in enumerate(targets) if tgt[i]})
+        if row:
+            span.insert(row)
+    for t, got in enumerate(coords):
+        consistent, values = span.column_values(len(basis) + t)
+        assert got == (values if consistent else None)
+    assert coords[0] is not None
+
+
+@given(st.sampled_from(KERNEL_FIELDS), st.integers(0, 4), st.integers(0, 4), st.data())
+def test_combination_matches_repeated_sum(field, n, m, data):
+    terms = []
+    for _ in range(data.draw(st.integers(0, 4))):
+        c = field.coerce(data.draw(st.builds(Fraction, st.integers(-4, 4), st.integers(1, 5))
+                                   if field is QQ else st.integers(0, field.p - 1)))
+        terms.append((c, data.draw(sparse_matrices(field, n, m))))
+    expect = Matrix.zeros(field, n, m)
+    for c, term in terms:
+        expect = expect + term.scale(c)
+    got = _combination(field, n, m, terms)
+    assert got == expect
+    assert_canonical(got)
