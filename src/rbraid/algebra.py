@@ -19,7 +19,7 @@ from .errors import (
     ShapeMismatch,
 )
 from .fields import Field
-from .linalg import Matrix, _scaled
+from .linalg import Matrix, _difference_echelon, _scaled, nullspace_from_echelon
 
 
 class Algebra:
@@ -55,6 +55,7 @@ class Algebra:
         self._right_mats: list[Matrix] | None = None
         self._validation: CheckReport | None = None
         self._commutative: bool | None = None
+        self._bimodules: dict = {}  # label -> Bimodule, filled by `bimodules`
 
     def _int_products(self):
         """`basis_products` on integers: (products, modulus or None, scale)
@@ -276,15 +277,8 @@ def validate_algebra(algebra: Algebra) -> CheckReport:
 
 def center(algebra: Algebra):
     """Canonical basis of {z : z e_i = e_i z for all i} (list of vectors)."""
-    n = algebra.dim
-    left = algebra.left_mult_matrices()
-    right = algebra.right_mult_matrices()
-    rows = []
-    for i in range(n):
-        diff = left[i] - right[i]
-        rows.extend(dict(r) for r in diff.rows)
-    system = Matrix(algebra.field, len(rows), n, rows)
-    return system.nullspace()
+    pairs = zip(algebra.left_mult_matrices(), algebra.right_mult_matrices())
+    return nullspace_from_echelon(_difference_echelon(algebra.field, algebra.dim, pairs))
 
 
 # -- builders -----------------------------------------------------------------

@@ -16,7 +16,14 @@ from .algebra import Algebra
 from .checks import CheckReport, CheckResult
 from .errors import NotWellDefined, RBraidError, ShapeMismatch
 from .fields import Field
-from .linalg import Echelon, Matrix, _combination, coordinates_in_span
+from .linalg import (
+    Echelon,
+    Matrix,
+    _combination,
+    _difference_echelon,
+    coordinates_in_span,
+    nullspace_from_echelon,
+)
 from .rmatrix import RMatrixCertificate
 
 
@@ -50,40 +57,35 @@ class Bimodule:
 
 def regular_bimodule(A: Algebra) -> Bimodule:
     """A acting on itself by multiplication on both sides."""
-    cached = getattr(A, "_regular_bimodule", None)
-    if cached is None:
-        cached = Bimodule(A, A.left_mult_matrices(), A.right_mult_matrices(), "regular")
-        A._regular_bimodule = cached
-    return cached
+    cache = A._bimodules
+    if "regular" not in cache:
+        cache["regular"] = Bimodule(A, A.left_mult_matrices(), A.right_mult_matrices(), "regular")
+    return cache["regular"]
 
 
 def square_bimodule(A: Algebra) -> Bimodule:
     """A (x) A with the outer actions a.(x (x) y).b = ax (x) yb."""
-    cached = getattr(A, "_square_bimodule", None)
-    if cached is None:
-        n = A.dim
-        eye = Matrix.identity(A.field, n)
+    cache = A._bimodules
+    if "square" not in cache:
+        eye = Matrix.identity(A.field, A.dim)
         left = [L.kron(eye) for L in A.left_mult_matrices()]
         right = [eye.kron(R) for R in A.right_mult_matrices()]
-        cached = Bimodule(A, left, right, "square")
-        A._square_bimodule = cached
-    return cached
+        cache["square"] = Bimodule(A, left, right, "square")
+    return cache["square"]
 
 
 def free_bimodule(A: Algebra, d: int) -> Bimodule:
     """A (x) k^d with both actions on the algebra factor."""
     if d < 1:
         raise ShapeMismatch("free rank must be >= 1")
-    cache = getattr(A, "_free_bimodules", None)
-    if cache is None:
-        cache = {}
-        A._free_bimodules = cache
-    if d not in cache:
+    label = f"free({d})"
+    cache = A._bimodules
+    if label not in cache:
         eye = Matrix.identity(A.field, d)
         left = [L.kron(eye) for L in A.left_mult_matrices()]
         right = [R.kron(eye) for R in A.right_mult_matrices()]
-        cache[d] = Bimodule(A, left, right, f"free({d})")
-    return cache[d]
+        cache[label] = Bimodule(A, left, right, label)
+    return cache[label]
 
 
 def check_bimodule(M: Bimodule) -> CheckReport:
@@ -138,12 +140,8 @@ def check_bimodule(M: Bimodule) -> CheckReport:
 def invariants(M: Bimodule):
     """Canonical basis of {m : a.m = m.a for all a} (cached)."""
     if M._invariants is None:
-        rows = []
-        for i in range(M.algebra.dim):
-            diff = M.left[i] - M.right[i]
-            rows.extend(dict(r) for r in diff.rows)
-        system = Matrix(M.algebra.field, len(rows), M.dim, rows)
-        M._invariants = system.nullspace()
+        ech = _difference_echelon(M.algebra.field, M.dim, zip(M.left, M.right))
+        M._invariants = nullspace_from_echelon(ech)
     return M._invariants
 
 
@@ -155,15 +153,12 @@ class QuotientSpace:
     representatives and `projection . section` is the identity.
     """
 
-    def __init__(self, field: Field, ambient_dim: int, echelon: Echelon | None,
+    def __init__(self, field: Field, ambient_dim: int, echelon: Echelon,
                  factors=None, algebra: Algebra | None = None, label: str = ""):
         self.field = field
         self.ambient_dim = ambient_dim
         self._ech = echelon
-        if echelon is None:
-            self.free_cols = tuple(range(ambient_dim))
-        else:
-            self.free_cols = echelon.free_columns()
+        self.free_cols = echelon.free_columns()
         self.dim = len(self.free_cols)
         self.factors = factors
         self.algebra = algebra
@@ -175,22 +170,19 @@ class QuotientSpace:
     @classmethod
     def full(cls, field: Field, dim: int, label: str = "") -> "QuotientSpace":
         """A plain vector space viewed as a quotient with no relations."""
-        return cls(field, dim, None, label=label)
+        return cls(field, dim, Echelon(field, dim), label=label)
 
     def __repr__(self):
         return f"QuotientSpace({self.label!r}, {self.ambient_dim}->{self.dim})"
 
     def relation_rows(self):
-        return [] if self._ech is None else self._ech.rows
+        return self._ech.rows
 
     def project_vec(self, vec):
         """Quotient coordinates of an ambient vector."""
-        F = self.field
-        if self._ech is None:
-            return list(vec)
         row = {i: v for i, v in enumerate(vec) if v}
         residue = self._ech.reduce(row)
-        return [residue.get(f, F.zero) for f in self.free_cols]
+        return [residue.get(f, self.field.zero) for f in self.free_cols]
 
     @property
     def projection(self) -> Matrix:
@@ -200,11 +192,10 @@ class QuotientSpace:
             rows: list[dict] = [{} for _ in range(self.dim)]
             for t, f in enumerate(self.free_cols):
                 rows[t][f] = F.one
-            if self._ech is not None:
-                for p, ridx in self._ech.pivots.items():
-                    for f, v in self._ech.rows[ridx].items():
-                        if f != p:
-                            rows[index[f]][p] = F.neg(v)
+            for p, ridx in self._ech.pivots.items():
+                for f, v in self._ech.rows[ridx].items():
+                    if f != p:
+                        rows[index[f]][p] = F.neg(v)
             self._projection = Matrix(F, self.dim, self.ambient_dim, rows)
         return self._projection
 
@@ -248,24 +239,8 @@ def tensor_over_A(M: Bimodule, N: Bimodule) -> QuotientSpace:
     A = M.algebra
     F = A.field
     dm, dn = M.dim, N.dim
-    ech = Echelon(F, dm * dn)
-    for i in range(A.dim):
-        right_cols = M.right[i].transpose()
-        left_cols = N.left[i].transpose()
-        for alpha in range(dm):
-            mcol = right_cols.rows[alpha]
-            for beta in range(dn):
-                ncol = left_cols.rows[beta]
-                row = {x * dn + beta: v for x, v in mcol.items()}
-                for y, v in ncol.items():
-                    key = alpha * dn + y
-                    w = F.sub(row.get(key, F.zero), v)
-                    if w == F.zero:
-                        row.pop(key, None)
-                    else:
-                        row[key] = w
-                if row:
-                    ech.insert(row)
+    pairs = ((M.right[i].transpose(), N.left[i].transpose()) for i in range(A.dim))
+    ech = _difference_echelon(F, dm * dn, pairs, q=dn)
     label = f"({M.label}(x){N.label})/A"
     q = QuotientSpace(F, dm * dn, ech, factors=(M, N), algebra=A, label=label)
     M._tensor_cache[id(N)] = q
@@ -454,14 +429,9 @@ def extended_invariants(M: Bimodule):
     """Basis of the invariants of A (x) M where the algebra acts on the
     module factor only (the target space of `alpha_map`)."""
     A = M.algebra
-    F = A.field
-    eye = Matrix.identity(F, A.dim)
-    rows = []
-    for i in range(A.dim):
-        diff = eye.kron(M.left[i] - M.right[i])
-        rows.extend(dict(r) for r in diff.rows)
-    system = Matrix(F, len(rows), A.dim * M.dim, rows)
-    return system.nullspace()
+    eye = Matrix.identity(A.field, A.dim)
+    pairs = ((eye.kron(l), eye.kron(r)) for l, r in zip(M.left, M.right))
+    return nullspace_from_echelon(_difference_echelon(A.field, A.dim * M.dim, pairs))
 
 
 def alpha_map(M: Bimodule) -> Matrix:

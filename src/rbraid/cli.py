@@ -163,6 +163,8 @@ def _load_json(path: str):
         return json.loads(data), hashlib.sha256(data).hexdigest()
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: invalid JSON at line {exc.lineno}") from exc
+    except ValueError as exc:  # e.g. an integer literal of over 4300 digits
+        raise ParseError(f"{path}: {exc}") from exc
     except RecursionError as exc:
         raise ParseError(f"{path}: JSON nested too deeply") from exc
 

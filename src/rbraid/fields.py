@@ -81,8 +81,11 @@ class Field:
         m = _SCALAR_RE.match(text.strip())
         if not m:
             raise ParseError(f"bad scalar literal {text!r}")
-        num = int(m.group(1))
-        den = int(m.group(2)) if m.group(2) is not None else 1
+        try:
+            num = int(m.group(1))
+            den = int(m.group(2)) if m.group(2) is not None else 1
+        except ValueError as exc:  # int() refuses literals of over 4300 digits
+            raise ParseError(f"bad scalar literal: {exc}") from exc
         return self.div(self.from_int(num), self.from_int(den))
 
 

@@ -297,9 +297,6 @@ class Matrix:
             rows.append(row)
         return Matrix(F, self.nrows, self.ncols, rows)
 
-    def __sub__(self, other):
-        return self + other.scale(self.field.neg(self.field.one))
-
     def scale(self, c):
         F = self.field
         if c == F.zero:
@@ -308,9 +305,6 @@ class Matrix:
             F, self.nrows, self.ncols,
             [{j: F.mul(c, v) for j, v in r.items()} for r in self.rows],
         )
-
-    def __neg__(self):
-        return self.scale(self.field.neg(self.field.one))
 
     def __matmul__(self, other):
         if not isinstance(other, Matrix):
@@ -450,6 +444,41 @@ def _combination(field: Field, nrows: int, ncols: int, terms) -> Matrix:
     else:
         rows = [{j: Fraction(v, scale) for j, v in r.items() if v} for r in acc]
     return Matrix(field, nrows, ncols, rows)
+
+
+def _difference_echelon(field: Field, ncols: int, pairs, q: int = 1) -> Echelon:
+    """Echelon of the rows of (a (x) I_q) - (I_r (x) b) over the (a, b)
+    pairs, r being fixed by the shapes: the fixed points of two actions
+    (centers, invariants, the W-space, the balancing relations).  Each row
+    is built in place on integers, never through a Kronecker product; over
+    Q each pair is scaled by its own common denominator, since only the
+    span matters, and over GF(p) rows hold raw residues."""
+    mod = field.characteristic
+    ech = Echelon(field, ncols)
+    for a, b in pairs:
+        if mod:
+            arows, brows = a.rows, b.rows
+        else:
+            rows, _ = _scaled(a.rows + b.rows)
+            arows, brows = rows[:a.nrows], rows[a.nrows:]
+        # row c*q + d of a (x) I_q is row c of a at columns x*q + d, and
+        # row u*b.nrows + v of I_r (x) b is row v of b at columns u*b.ncols + y
+        left = [(arow, d) for arow in arows for d in range(q)]
+        right = [(brow, u * b.ncols) for u in range(len(left) // b.nrows) for brow in brows]
+        for (arow, d), (brow, base) in zip(left, right):
+            row = {}
+            for x, w in arow.items():
+                row[x * q + d] = w
+            for y, w in brow.items():
+                key = base + y
+                w = row.pop(key, 0) - w
+                if mod:
+                    w %= mod
+                if w:
+                    row[key] = w
+            if row:
+                ech.insert(row)
+    return ech
 
 
 def _int_rows(m: Matrix) -> tuple[IntRows, int | None, int]:

@@ -43,7 +43,7 @@ from .errors import (
     UnvalidatedAlgebra,
 )
 from .fields import Field
-from .linalg import Echelon, Matrix, _scaled, nullspace_from_echelon
+from .linalg import Matrix, _difference_echelon, _scaled, nullspace_from_echelon
 from .tensor import TensorElement, tensor_mul, unit_tensor
 
 DEFAULT_SIZE_CAP = 20
@@ -100,38 +100,8 @@ def pair_invariant_basis(A: Algebra):
     left and leg 2 right.  Returned as dense vectors of length dim^2 in
     the canonical nullspace parametrization."""
     n = A.dim
-    F = A.field
-    mod = F.characteristic
-    # Only the span of the constraint rows matters, so over Q they are
-    # built on integers: the action matrices times one common denominator.
-    actions = [r for m in A.left_mult_matrices() + A.right_mult_matrices() for r in m.rows]
-    if not mod:
-        actions, _ = _scaled(actions)
-    ech = Echelon(F, n * n)
-    # One block of n^2 constraint rows per acting basis element; rows are
-    # generated on the fly so only the echelon state is held in memory.
-    for t in range(n):
-        lt = actions[t * n:(t + 1) * n]
-        rt = actions[(n + t) * n:(n + t + 1) * n]
-        for c in range(n):
-            lrow = lt[c]
-            for d in range(n):
-                rrow = rt[d]
-                row = {}
-                for x, v in lrow.items():
-                    row[x * n + d] = v
-                for y, v in rrow.items():
-                    key = c * n + y
-                    w = row.get(key, 0) - v
-                    if mod:
-                        w %= mod
-                    if w:
-                        row[key] = w
-                    else:
-                        row.pop(key, None)
-                if row:
-                    ech.insert(row)
-    return nullspace_from_echelon(ech)
+    pairs = zip(A.left_mult_matrices(), A.right_mult_matrices())
+    return nullspace_from_echelon(_difference_echelon(A.field, n * n, pairs, q=n))
 
 
 def solve_rmatrix(A: Algebra, size_cap: int | None = DEFAULT_SIZE_CAP):

@@ -1,9 +1,12 @@
 """Command-line interface: formats, exit codes, determinism."""
+import contextlib
+import io
 import json
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, strategies as st
 
 from rbraid import cli
 from rbraid.cli import main
@@ -140,6 +143,27 @@ def test_verify_malformed_tensor_exit_two(tmp_path, capsys, tensor):
     assert code == 2
     assert report["status"] == "error"
     assert report["error"].startswith(("tensor:", "R-matrix tensor:"))
+
+
+BIG = "9" * 5000  # json.dumps cannot print an int this long, so files hold the text
+M2_TEXT = json.dumps(M2)
+
+
+@pytest.mark.parametrize("command, spec, tensor", [
+    ("validate", '{"field": {"kind": "Q"}, "algebra": {"kind": "matrix", "n": %s}}' % BIG, None),
+    ("verify", M2_TEXT, '{"arity": 3, "coeffs": [{"monomial": [0, 0, %s], "value": "1"}]}' % BIG),
+    ("verify", M2_TEXT, '{"arity": 3, "coeffs": [{"monomial": [0, 0, 0], "value": "%s"}]}' % BIG),
+], ids=["spec-int", "monomial-int", "value-string"])
+def test_oversized_integer_literal_exit_two(tmp_path, capsys, command, spec, tensor):
+    # int() refuses literals of over 4300 digits with a ValueError
+    (tmp_path / "spec.json").write_text(spec)
+    argv = [command, str(tmp_path / "spec.json")]
+    if tensor is not None:
+        (tmp_path / "r.json").write_text(tensor)
+        argv.append(str(tmp_path / "r.json"))
+    code, report = run(capsys, *argv)
+    assert code == 2 and report["status"] == "error"
+    assert "4300" in report["error"]
 
 
 def test_modulus_above_primality_bound_exit_two(tmp_path, capsys):
@@ -420,3 +444,110 @@ def test_console_script_entry():
     )
     assert proc.returncode == 0
     assert "solve" in proc.stdout
+
+
+# -- the CLI contract on arbitrary input ---------------------------------------
+
+
+class RawInt:
+    """An integer literal of `digits` digits, written as raw JSON text."""
+
+    def __init__(self, digits):
+        self.digits = digits
+
+
+def to_text(obj) -> str:
+    if isinstance(obj, RawInt):
+        return "7" * obj.digits
+    if isinstance(obj, dict):
+        return "{" + ", ".join(f"{json.dumps(k)}: {to_text(v)}" for k, v in obj.items()) + "}"
+    if isinstance(obj, list):
+        return "[" + ", ".join(map(to_text, obj)) + "]"
+    return json.dumps(obj)
+
+
+junk = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 70) | st.floats() | st.text(max_size=4)
+    | st.integers(4301, 6000).map(RawInt),
+    lambda inner: (st.lists(inner, max_size=3)
+                   | st.dictionaries(st.text(max_size=4), inner, max_size=3)),
+    max_leaves=4,
+)
+
+
+def mostly(good, bad):
+    """Draws from `good` three times in four, else from `bad`."""
+    return st.integers(0, 3).flatmap(lambda i: bad if i == 0 else good)
+
+
+def obj(**fields):
+    return st.fixed_dictionaries({k: v if isinstance(v, st.SearchStrategy) else st.just(v)
+                                  for k, v in fields.items()})
+
+
+good_scalars = st.sampled_from(["0", "1", "-1", "2", "1/2", "-3/4"])
+scalars = mostly(good_scalars, st.sampled_from(["1/0", "x", "", "1.5"])
+                 | st.integers(4301, 6000).map(lambda k: "8" * k) | junk)
+
+
+def custom(d):
+    # well-formed tables, mostly not associative; malformed ones come below
+    entries = st.lists(good_scalars, min_size=d, max_size=d)
+    planes = st.lists(st.lists(entries, min_size=d, max_size=d), min_size=d, max_size=d)
+    return obj(kind="custom", dim=d, unit=st.lists(scalars, min_size=d, max_size=d), table=planes)
+
+
+fields = mostly(st.sampled_from([{"kind": "Q"}, {"kind": "GF", "p": 2}, {"kind": "GF", "p": 7}]),
+                st.sampled_from([{"kind": "GF", "p": 9}, {"kind": "GF"}, {"kind": "R"}])
+                | obj(kind="GF", p=junk) | junk)
+# leaves of dimension at most 4 and at most two of them: every spec that
+# builds describes an algebra of dimension at most 16
+leaves = mostly(
+    obj(kind="matrix", n=mostly(st.integers(1, 2), st.integers(-1, 0) | junk))
+    | obj(kind="quaternion", a=scalars, b=scalars)
+    | obj(kind="poly_quotient", modulus=mostly(st.lists(good_scalars, min_size=1, max_size=3).map(
+        lambda coeffs: coeffs + ["1"]), st.lists(scalars, max_size=4)))
+    | st.integers(1, 2).flatmap(custom),
+    obj(kind="custom", dim=st.integers(0, 3) | junk, unit=st.lists(scalars, max_size=3) | junk,
+        table=st.lists(st.lists(st.lists(scalars, max_size=2), max_size=2), max_size=2) | junk)
+    | junk,
+)
+algebras = st.recursive(
+    leaves,
+    lambda inner: (obj(kind="opposite", of=inner)
+                   | obj(kind=st.sampled_from(["tensor", "direct_sum"]), left=inner, right=inner)),
+    max_leaves=2,
+)
+specs = mostly(obj(field=fields, algebra=algebras), junk)
+terms = obj(monomial=st.lists(st.integers(-1, 4) | junk, max_size=4) | junk, value=scalars)
+raw_tensors = obj(arity=st.just(3) | junk, coeffs=st.lists(terms | junk, max_size=3) | junk)
+tensor_files = raw_tensors | obj(r=raw_tensors) | obj(certificate=obj(r=raw_tensors)) | junk
+# verify runs all 14 checks, so its algebras stay at dimension 4 or less;
+# malformed specs are the validate test's part
+small_specs = st.sampled_from([M2, DUAL, QUAT, {"field": {"kind": "GF", "p": 7},
+                                                "algebra": {"kind": "matrix", "n": 2}}]) | junk
+
+
+def run_contract(argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(argv)
+    assert code in (0, 1, 2)
+    text = out.getvalue()
+    assert text.count("\n") == 1 and text.endswith("\n")
+    assert isinstance(json.loads(text), dict)
+
+
+@given(spec=specs)
+def test_validate_contract_on_arbitrary_specs(tmp_path_factory, spec):
+    path = tmp_path_factory.mktemp("contract") / "spec.json"
+    path.write_text(to_text(spec))
+    run_contract(["validate", str(path)])
+
+
+@given(spec=small_specs, tensor=tensor_files)
+def test_verify_contract_on_arbitrary_tensor_files(tmp_path_factory, spec, tensor):
+    folder = tmp_path_factory.mktemp("contract")
+    (folder / "spec.json").write_text(to_text(spec))
+    (folder / "r.json").write_text(to_text(tensor))
+    run_contract(["verify", str(folder / "spec.json"), str(folder / "r.json")])

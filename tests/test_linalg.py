@@ -3,11 +3,17 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from rbraid import GF, QQ, Matrix, build_matrix_algebra, center
 from rbraid.errors import NotSquare, ShapeMismatch
-from rbraid.linalg import Echelon, _combination, coordinates_in_span, nullspace_from_echelon
+from rbraid.linalg import (
+    Echelon,
+    _combination,
+    _difference_echelon,
+    coordinates_in_span,
+    nullspace_from_echelon,
+)
 
 
 def mat(entries, field=QQ):
@@ -245,7 +251,7 @@ def test_matmul_matches_reference(field, n, m, k, data):
     # [a | a] @ [b ; -b] cancels to zero entry by entry
     doubled = Matrix(field, n, 2 * m, [{**r, **{m + j: v for j, v in r.items()}}
                                        for r in a.rows])
-    stacked = Matrix(field, 2 * m, k, b.rows + (-b).rows)
+    stacked = Matrix(field, 2 * m, k, b.rows + b.scale(field.neg(field.one)).rows)
     cancelled = doubled @ stacked
     assert cancelled.rows == [{} for _ in range(n)]
 
@@ -468,3 +474,44 @@ def test_combination_matches_repeated_sum(field, n, m, data):
     got = _combination(field, n, m, terms)
     assert got == expect
     assert_canonical(got)
+
+
+# -- the difference eliminator against materialized Kronecker products -------
+
+
+@pytest.mark.parametrize("field", KERNEL_FIELDS)
+@settings(max_examples=200)
+@given(data=st.data())
+def test_difference_echelon_matches_kron_reference(field, data):
+    # the shapes of the callers: center and invariants (q = r = 1), the
+    # W-space (q = r = n) and tensor_over_A on bimodules of different
+    # dimensions (a is r x r, b is q x q, q != r)
+    shape = data.draw(st.sampled_from(["center", "w-space", "tensor"]))
+    if shape == "center":
+        n = data.draw(st.integers(1, 5))
+        na, nb, q, r = n, n, 1, 1
+    elif shape == "w-space":
+        n = data.draw(st.integers(1, 3))
+        na, nb, q, r = n, n, n, n
+    else:
+        q, r = data.draw(st.lists(st.integers(1, 4), min_size=2, max_size=2, unique=True))
+        na, nb = r, q
+    # the unit of the algebra acts as the identity
+    left = st.just(Matrix.identity(field, na)) | sparse_matrices(field, na, na)
+    pairs = [(data.draw(left), data.draw(sparse_matrices(field, nb, nb)))
+             for _ in range(data.draw(st.integers(1, 3)))]
+    ncols = na * q
+    minus_one = field.neg(field.one)
+    rows = []
+    for a, b in pairs:
+        diff = (a.kron(Matrix.identity(field, q))
+                + Matrix.identity(field, r).kron(b).scale(minus_one))
+        rows.extend(diff.rows)
+    ref = Matrix(field, len(rows), ncols, rows)
+    expect = ref._echelon()
+    ech = _difference_echelon(field, ncols, pairs, q)
+    assert ech.rank == expect.rank
+    assert ech.pivots == expect.pivots
+    assert ech.rows == expect.rows
+    assert_canonical_rows(field, ech.rows)
+    assert nullspace_from_echelon(ech) == ref.nullspace()
