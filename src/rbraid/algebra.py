@@ -19,7 +19,7 @@ from .errors import (
     ShapeMismatch,
 )
 from .fields import Field
-from .linalg import Matrix, _difference_echelon, _scaled, nullspace_from_echelon
+from .linalg import Matrix, _difference_echelon, _to_ints, nullspace_from_echelon
 
 
 class Algebra:
@@ -51,6 +51,7 @@ class Algebra:
             [tuple((k, c) for k, c in enumerate(row) if c) for row in plane]
             for plane in self.table
         ]
+        self._int_prods: tuple | None = None
         self._left_mats: list[Matrix] | None = None
         self._right_mats: list[Matrix] | None = None
         self._validation: CheckReport | None = None
@@ -58,14 +59,15 @@ class Algebra:
         self._bimodules: dict = {}  # label -> Bimodule, filled by `bimodules`
 
     def _int_products(self):
-        """`basis_products` on integers: (products, modulus or None, scale)
-        with each constant times `scale` over Q; raw residues over GF(p)."""
-        if self.field.characteristic:
-            return self.basis_products, self.field.characteristic, 1
-        n = self.dim
-        flat, scale = _scaled([dict(t) for plane in self.basis_products for t in plane])
-        prods = [[tuple(flat[i * n + j].items()) for j in range(n)] for i in range(n)]
-        return prods, None, scale
+        """`basis_products` on integers: (products, characteristic, scale)
+        with each constant times `scale`; residues over 1 in GF(p) (cached)."""
+        if self._int_prods is None:
+            n, prods, scale = self.dim, self.basis_products, 1
+            if not self.field.characteristic:  # residues need no conversion
+                flat, scale = _to_ints([dict(t) for plane in prods for t in plane])
+                prods = [[tuple(flat[i * n + j].items()) for j in range(n)] for i in range(n)]
+            self._int_prods = prods, self.field.characteristic, scale
+        return self._int_prods
 
     # -- identity ---------------------------------------------------------
 
@@ -123,28 +125,28 @@ class Algebra:
     def left_mult_matrices(self) -> list[Matrix]:
         """L_i with L_i x = e_i * x in coordinates."""
         if self._left_mats is None:
-            mats = []
-            for i in range(self.dim):
-                rows = [{} for _ in range(self.dim)]
-                for x in range(self.dim):
-                    for k, c in self.basis_products[i][x]:
-                        rows[k][x] = c
-                mats.append(Matrix(self.field, self.dim, self.dim, rows))
-            self._left_mats = mats
+            self._left_mats = self._mult_matrices(left=True)
         return self._left_mats
 
     def right_mult_matrices(self) -> list[Matrix]:
         """R_i with R_i x = x * e_i in coordinates."""
         if self._right_mats is None:
-            mats = []
-            for i in range(self.dim):
-                rows = [{} for _ in range(self.dim)]
-                for x in range(self.dim):
-                    for k, c in self.basis_products[x][i]:
-                        rows[k][x] = c
-                mats.append(Matrix(self.field, self.dim, self.dim, rows))
-            self._right_mats = mats
+            self._right_mats = self._mult_matrices(left=False)
         return self._right_mats
+
+    def _mult_matrices(self, left: bool) -> list[Matrix]:
+        """Multiplication by each basis element e_i, on the left or the
+        right, built from the integer structure constants."""
+        prods, _, scale = self._int_products()
+        n = self.dim
+        mats = []
+        for i in range(n):
+            rows = [{} for _ in range(n)]
+            for x in range(n):
+                for k, c in (prods[i][x] if left else prods[x][i]):
+                    rows[k][x] = c
+            mats.append(Matrix._of(self.field, n, n, rows, scale))
+        return mats
 
     def is_commutative(self) -> bool:
         if self._commutative is None:

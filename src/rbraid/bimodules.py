@@ -12,6 +12,8 @@ certificate manifests, and it raises NotWellDefined.
 """
 from __future__ import annotations
 
+from math import lcm
+
 from .algebra import Algebra
 from .checks import CheckReport, CheckResult
 from .errors import NotWellDefined, RBraidError, ShapeMismatch
@@ -44,15 +46,6 @@ class Bimodule:
 
     def __repr__(self):
         return f"Bimodule({self.label!r}, dim={self.dim}, over {self.algebra.label!r})"
-
-    def left_operator(self, coords) -> Matrix:
-        """Action matrix of the element with the given coordinates (left)."""
-        return _combination(self.algebra.field, self.dim, self.dim,
-                            ((c, self.left[i]) for i, c in enumerate(coords) if c))
-
-    def right_operator(self, coords) -> Matrix:
-        return _combination(self.algebra.field, self.dim, self.dim,
-                            ((c, self.right[i]) for i, c in enumerate(coords) if c))
 
 
 def regular_bimodule(A: Algebra) -> Bimodule:
@@ -96,8 +89,8 @@ def check_bimodule(M: Bimodule) -> CheckReport:
     n = A.dim
     results = []
 
-    lam_unit = M.left_operator(A.unit)
-    rho_unit = M.right_operator(A.unit)
+    lam_unit = _combination(F, M.dim, M.dim, ((c, M.left[i]) for i, c in enumerate(A.unit) if c))
+    rho_unit = _combination(F, M.dim, M.dim, ((c, M.right[i]) for i, c in enumerate(A.unit) if c))
     eye = Matrix.identity(F, M.dim)
     results.append(CheckResult("unital", lam_unit == eye and rho_unit == eye))
 
@@ -176,27 +169,28 @@ class QuotientSpace:
         return f"QuotientSpace({self.label!r}, {self.ambient_dim}->{self.dim})"
 
     def relation_rows(self):
-        return self._ech.rows
-
-    def project_vec(self, vec):
-        """Quotient coordinates of an ambient vector."""
-        row = {i: v for i, v in enumerate(vec) if v}
-        residue = self._ech.reduce(row)
-        return [residue.get(f, self.field.zero) for f in self.free_cols]
+        """A basis of the relation span: the echelon's integer rows, each a
+        nonzero multiple of a relation (residues over GF(p))."""
+        return self._ech.int_rows
 
     @property
     def projection(self) -> Matrix:
         if self._projection is None:
-            F = self.field
+            # pivot p of an echelon row r eliminates to -r[f]/r[p] on each
+            # free column f; over Q all of them share the lcm of the r[p]
+            ech, mod = self._ech, self.field.characteristic
+            pivot_rows = [(p, ech.int_rows[ridx]) for p, ridx in ech.pivots.items()]
+            den = lcm(*(r[p] for p, r in pivot_rows))
             index = {f: t for t, f in enumerate(self.free_cols)}
             rows: list[dict] = [{} for _ in range(self.dim)]
             for t, f in enumerate(self.free_cols):
-                rows[t][f] = F.one
-            for p, ridx in self._ech.pivots.items():
-                for f, v in self._ech.rows[ridx].items():
+                rows[t][f] = den
+            for p, r in pivot_rows:
+                k = -(den // r[p])
+                for f, v in r.items():
                     if f != p:
-                        rows[index[f]][p] = F.neg(v)
-            self._projection = Matrix(F, self.dim, self.ambient_dim, rows)
+                        rows[index[f]][p] = v * k % mod if mod else v * k
+            self._projection = Matrix._of(self.field, self.dim, self.ambient_dim, rows, den)
         return self._projection
 
     @property
@@ -204,8 +198,8 @@ class QuotientSpace:
         if self._section is None:
             rows: list[dict] = [{} for _ in range(self.ambient_dim)]
             for t, f in enumerate(self.free_cols):
-                rows[f][t] = self.field.one
-            self._section = Matrix(self.field, self.ambient_dim, self.dim, rows)
+                rows[f][t] = 1
+            self._section = Matrix._of(self.field, self.ambient_dim, self.dim, rows)
         return self._section
 
     @property
@@ -292,7 +286,6 @@ def induced_map(source: QuotientSpace, target: QuotientSpace, ambient: Matrix,
             f"ambient map is {ambient.nrows}x{ambient.ncols}, ambients are "
             f"{target.ambient_dim}<-{source.ambient_dim}"
         )
-    F = source.field
     projected_ambient = target.projection @ ambient
     rels = source.relation_rows()
     if rels:
@@ -302,7 +295,7 @@ def induced_map(source: QuotientSpace, target: QuotientSpace, ambient: Matrix,
         for t, rel in enumerate(rels):
             for j, v in rel.items():
                 cols[j][t] = v
-        rel_mat = Matrix(F, source.ambient_dim, len(rels), cols)
+        rel_mat = Matrix._of(source.field, source.ambient_dim, len(rels), cols)
         if not (projected_ambient @ rel_mat).is_zero():
             raise NotWellDefined(f"{what} does not preserve the balancing relations")
     matrix = projected_ambient @ source.section
@@ -314,8 +307,8 @@ def swap_matrix(field: Field, dm: int, dn: int) -> Matrix:
     rows: list[dict] = [{} for _ in range(dm * dn)]
     for alpha in range(dm):
         for beta in range(dn):
-            rows[beta * dm + alpha][alpha * dn + beta] = field.one
-    return Matrix(field, dm * dn, dm * dn, rows)
+            rows[beta * dm + alpha][alpha * dn + beta] = 1
+    return Matrix._of(field, dm * dn, dm * dn, rows)
 
 
 def braiding_ambient(cert: RMatrixCertificate, M: Bimodule, N: Bimodule) -> Matrix:
@@ -681,16 +674,17 @@ def monoidal_F_audit(cert: RMatrixCertificate, d1: int, d2: int) -> CheckReport:
     results = []
 
     def _phi_ambient(da: int, db: int) -> Matrix:
+        prods, _, scale = A._int_products()
         rows: list[dict] = [{} for _ in range(A.dim * da * db)]
         for i in range(A.dim):
             for j in range(A.dim):
-                for k, c in A.basis_products[i][j]:
+                for k, c in prods[i][j]:
                     for s in range(da):
                         for t in range(db):
                             row = (k * da + s) * db + t
                             col = (i * da + s) * (A.dim * db) + (j * db + t)
                             rows[row][col] = c
-        return Matrix(F, A.dim * da * db, (A.dim * da) * (A.dim * db), rows)
+        return Matrix._of(F, A.dim * da * db, (A.dim * da) * (A.dim * db), rows, scale)
 
     target12 = QuotientSpace.full(F, A.dim * d1 * d2, label="A(x)N(x)N'")
     target21 = QuotientSpace.full(F, A.dim * d2 * d1, label="A(x)N'(x)N")

@@ -27,10 +27,10 @@ def f_map(A: Algebra) -> Matrix:
     cols = []
     for i in range(n):
         for j in range(n):
-            op = left[i] @ right[j]
+            rows = (left[i] @ right[j]).rows
             flat = []
-            for r in range(n):
-                flat.extend(op.rows[r].get(c, A.field.zero) for c in range(n))
+            for row in rows:
+                flat.extend(row.get(c, A.field.zero) for c in range(n))
             cols.append(flat)
     return Matrix.from_columns(A.field, n * n, cols)
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import sys
 import tempfile
@@ -32,7 +33,7 @@ from .algebra import (
 from .bimodules import audit_braiding, free_bimodule, regular_bimodule, square_bimodule
 from .checks import CheckReport
 from .classify import classify
-from .errors import ParseError, RBraidError, UnsupportedSize
+from .errors import DivisionByZero, ParseError, RBraidError, UnsupportedSize
 from .fields import Field, field_from_json
 from .rmatrix import DEFAULT_SIZE_CAP, solve_rmatrix, verify_rmatrix
 from .tensor import TensorElement
@@ -55,6 +56,11 @@ MAX_SPEC_DEPTH = 64
 # the structure table alone holds dim**3 entries.
 MAX_BUILD_DIM = 64
 
+# An audit of M, N, P works in ambients of dimension dim M * dim N * dim P;
+# a larger product is refused before the solve unless --force is given.
+# The square bimodule of a dimension-4 algebra, cubed, is at the limit.
+MAX_AUDIT_DIM = 4096
+
 
 # -- input format -----------------------------------------------------------
 
@@ -71,6 +77,19 @@ def _expect_int(value, where: str) -> int:
     if type(value) is not int:
         raise ParseError(f"{where}: expected an integer, got {value!r}")
     return value
+
+
+def _expect_size(value, where: str) -> int:
+    if _expect_int(value, where) < 1:
+        raise ParseError(f"{where}: expected an integer >= 1, got {value!r}")
+    return value
+
+
+def _scalar(field: Field, value, where: str):
+    try:
+        return field.parse(str(value))
+    except (ParseError, DivisionByZero) as exc:
+        raise ParseError(f"{where}: {exc}") from exc
 
 
 def build_algebra_from_spec(spec: dict) -> Algebra:
@@ -117,12 +136,17 @@ def _build_algebra(field: Field, obj, where: str) -> Algebra:
     kind = obj.get("kind")
     try:
         if kind == "matrix":
-            return build_matrix_algebra(_expect_int(obj["n"], where + ".n"), field)
+            return build_matrix_algebra(_expect_size(obj["n"], where + ".n"), field)
         if kind == "quaternion":
-            return build_quaternion(field.parse(str(obj["a"])),
-                                    field.parse(str(obj["b"])), field)
+            return build_quaternion(_scalar(field, obj["a"], where + ".a"),
+                                    _scalar(field, obj["b"], where + ".b"), field)
         if kind == "poly_quotient":
-            modulus = [field.parse(str(c)) for c in obj["modulus"]]
+            raw = obj["modulus"]
+            modulus = ([_scalar(field, c, where + ".modulus") for c in raw]
+                       if isinstance(raw, list) else [])
+            if len(modulus) < 2 or modulus[-1] != field.one:
+                raise ParseError(f"{where}.modulus: expected the coefficients of a monic "
+                                 f"polynomial of degree >= 1, got {raw!r}")
             return build_poly_quotient(modulus, field)
         if kind == "tensor":
             return build_tensor_product(
@@ -137,10 +161,10 @@ def _build_algebra(field: Field, obj, where: str) -> Algebra:
         if kind == "opposite":
             return opposite(_build_algebra(field, obj["of"], where + ".of"))
         if kind == "custom":
-            dim = _expect_int(obj["dim"], where + ".dim")
-            unit = [field.parse(str(c)) for c in obj["unit"]]
+            dim = _expect_size(obj["dim"], where + ".dim")
+            unit = [_scalar(field, c, where + ".unit") for c in obj["unit"]]
             table = [
-                [[field.parse(str(c)) for c in row] for row in plane]
+                [[_scalar(field, c, where + ".table") for c in row] for row in plane]
                 for plane in obj["table"]
             ]
             if len(table) != dim:
@@ -148,6 +172,8 @@ def _build_algebra(field: Field, obj, where: str) -> Algebra:
             return Algebra(field, table, unit, label=f"custom(dim={dim})/{field!r}")
     except KeyError as exc:
         raise ParseError(f"{where}: missing key {exc.args[0]!r}") from exc
+    except ParseError:
+        raise  # already names its key
     except (TypeError, ValueError) as exc:
         raise ParseError(f"{where}: {exc}") from exc
     raise ParseError(f"{where}: unknown algebra kind {kind!r}")
@@ -191,21 +217,31 @@ def _extract_tensor_json(obj) -> dict:
     raise ParseError("no tensor found in the R-matrix file")
 
 
-def _parse_bimodule(A: Algebra, text: str):
+def _bimodule_spec(A: Algebra, text: str):
+    """(builder, dimension) of the bimodule of A that `text` names; the
+    dimension is predicted and checked against MAX_BUILD_DIM here, so
+    that nothing oversized is ever built."""
     if text == "regular":
-        return regular_bimodule(A)
-    if text == "square":
-        return square_bimodule(A)
-    if text.startswith("free:"):
+        build, dim = regular_bimodule, A.dim
+    elif text == "square":
+        build, dim = square_bimodule, A.dim ** 2
+    elif text.startswith("free:"):
         rank = text[len("free:"):]
         if not (rank.isascii() and rank.isdigit()):
             raise ParseError(f"bad free rank in {text!r}")
         # bound the length first: int() refuses strings of over 4300 digits
         rank = rank.lstrip("0") or "0"
-        if len(rank) > 9 or int(rank) * A.dim > MAX_BUILD_DIM:
+        if len(rank) > 9:
             raise UnsupportedSize(f"free bimodule: dim exceeds the build limit {MAX_BUILD_DIM}")
-        return free_bimodule(A, int(rank))
-    raise ParseError(f"unknown bimodule {text!r}; use {BIMODULE_CHOICES}")
+        d = int(rank)
+        if d < 1:
+            raise ParseError(f"bad free rank in {text!r}: must be >= 1")
+        build, dim = (lambda A: free_bimodule(A, d)), d * A.dim
+    else:
+        raise ParseError(f"unknown bimodule {text!r}; use {BIMODULE_CHOICES}")
+    if dim > MAX_BUILD_DIM:
+        raise UnsupportedSize(f"{text} bimodule: dim {dim} exceeds the build limit {MAX_BUILD_DIM}")
+    return build, dim
 
 
 # -- report plumbing ----------------------------------------------------------
@@ -260,20 +296,28 @@ def _solver_cap(args) -> int | None:
     return None if args.force else DEFAULT_SIZE_CAP
 
 
-def _solve(command: str, args):
-    """(started, algebra, digest, certificate) for the input file; when no
-    R-matrix exists the infeasible report is emitted and the certificate
-    is None."""
+def _solve(command: str, args, bimodules=()):
+    """(started, algebra, digest, certificate, bimodules) for the input
+    file and the named bimodules.  Their dimensions, and for --force-less
+    runs their product, are checked before the solve; they are built only
+    when an R-matrix exists.  When none exists the infeasible report is
+    emitted and the certificate is None."""
     started = time.perf_counter()
     A, digest = _load_algebra(args.file)
+    specs = [_bimodule_spec(A, text) for text in bimodules]
+    ambient = math.prod(dim for _, dim in specs)
+    if ambient > MAX_AUDIT_DIM and not args.force:
+        raise UnsupportedSize(f"bimodule dims {'x'.join(str(d) for _, d in specs)} = {ambient} "
+                              f"exceed the audit limit {MAX_AUDIT_DIM} (lift with --force)")
     cert = solve_rmatrix(A, size_cap=_solver_cap(args))
     if cert is None:
         _emit(_report(command, digest, "infeasible", {"algebra": A.label}, started), args)
-    return started, A, digest, cert
+        return started, A, digest, None, []
+    return started, A, digest, cert, [build(A) for build, _ in specs]
 
 
 def _cmd_solve(args) -> int:
-    started, A, digest, cert = _solve("solve", args)
+    started, A, digest, cert, _ = _solve("solve", args)
     if cert is None:
         return 1
     payload = {"certificate": cert.to_json()}
@@ -308,10 +352,10 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_ybe(args) -> int:
-    started, A, digest, cert = _solve("ybe", args)
+    started, A, digest, cert, built = _solve("ybe", args, [args.bimodule])
     if cert is None:
         return 1
-    V = _parse_bimodule(A, args.bimodule)
+    (V,) = built
     op = build_omega(cert, V, size_cap=None if args.force else DEFAULT_DIM_CAP)
     checks = CheckReport([check_qybe(op), check_braid(op), check_omega_cubed(op)])
     rank, rank_sq = omega_rank_profile(op)
@@ -330,13 +374,13 @@ def _cmd_ybe(args) -> int:
 
 
 def _cmd_audit(args) -> int:
-    started, A, digest, cert = _solve("audit", args)
-    if cert is None:
-        return 1
     names = [t.strip() for t in args.triple.split(",")]
     if len(names) != 3:
         raise ParseError(f"--triple needs three entries, got {args.triple!r}")
-    M, N, P = (_parse_bimodule(A, t) for t in names)
+    started, A, digest, cert, built = _solve("audit", args, names)
+    if cert is None:
+        return 1
+    M, N, P = built
     report = audit_braiding(cert, M, N, P)
     payload = {"algebra": A.label, "triple": names, "checks": report.to_json()}
     status = "pass" if report.passed else "fail"

@@ -1,15 +1,20 @@
 """Exact sparse linear algebra over a Field.
 
-Matrices store one dict per row mapping column -> nonzero value.  All
-eliminations are Gauss-Jordan on integer rows (fraction-free over Q, raw
-residues over GF(p)); the reduced row echelon form of a matrix is
+A Matrix stores one canonical form: integer rows (one dict per row
+mapping column -> nonzero int) over one positive common denominator, the
+field value of an entry being its integer divided by the denominator.
+The gcd of all entries and the denominator is 1, so the denominator is
+the least common denominator of the field values and equal matrices
+store equal data.  Over GF(p) the rows hold residues and the denominator
+is 1.  Products, Kronecker products and linear combinations run on this
+form directly; field values appear only where a matrix is built from
+them or read back through `rows`.
+
+All eliminations are Gauss-Jordan on integer rows (fraction-free over Q,
+raw residues over GF(p)); the reduced row echelon form of a matrix is
 unique, so every derived object (rank, pivot set, nullspace
 parametrization, affine solutions) is deterministic and byte-stable
 across runs.
-
-Every matrix product and sum runs on integers the same way: rational
-operands are scaled by a common denominator, and each output entry is
-divided by it (or reduced mod p) once.
 """
 from __future__ import annotations
 
@@ -33,11 +38,11 @@ class Echelon:
     primitive integer row (content divided out) with a positive pivot
     entry, and the field value of an entry is the entry divided by the
     pivot entry; input rows over Q may hold ints as well as Fractions.
-    `rows` gives the stored rows in field values.  Columns
-    at or beyond `pivot_limit` are never chosen as pivots; rows whose
-    pivotable part reduces to zero but which keep support beyond the
-    limit are retained in field values as residue rows (they drive
-    consistency checks for augmented solves).
+    `int_rows` holds the stored rows (do not mutate); `rows` gives them
+    in field values.  Columns at or beyond `pivot_limit` are never
+    chosen as pivots; rows whose pivotable part reduces to zero but
+    which keep support beyond the limit are retained in field values as
+    residue rows (they drive consistency checks for augmented solves).
     """
 
     def __init__(self, field: Field, ncols: int, pivot_limit: int | None = None):
@@ -47,22 +52,22 @@ class Echelon:
         self.pivots: dict[int, int] = {}  # pivot column -> row index
         self.residues: list[Row] = []
         self._mod = field.characteristic
-        self._rows: IntRows = []
-        self._values: list[Row] | None = None  # field values of _rows over Q
+        self.int_rows: IntRows = []
+        self._values: list[Row] | None = None  # field values of int_rows over Q
 
     @property
     def rank(self) -> int:
-        return len(self._rows)
+        return len(self.int_rows)
 
     @property
     def rows(self) -> list[Row]:
         """Stored rows in field values, one at the pivot (do not mutate)."""
         if self._mod:
-            return self._rows
+            return self.int_rows
         if self._values is None:
-            values: list = [None] * len(self._rows)
+            values: list = [None] * len(self.int_rows)
             for p, ridx in self.pivots.items():
-                r = self._rows[ridx]
+                r = self.int_rows[ridx]
                 a = r[p]
                 if a == 1:  # the common case, and the cheap Fraction path
                     values[ridx] = {j: Fraction(v) for j, v in r.items()}
@@ -74,11 +79,11 @@ class Echelon:
     def _residue(self, row: Row) -> tuple[Row, int]:
         """(integer residue of `row` modulo the stored rows, its scale): the
         residue in field values is each entry divided by the scale."""
-        mod, pivots, stored = self._mod, self.pivots, self._rows
+        mod, pivots, stored = self._mod, self.pivots, self.int_rows
         if mod:
             out, scale = dict(row), 1
         else:
-            (out,), scale = _scaled((row,))
+            (out,), scale = _to_ints((row,))
         # A stored row has no support on other pivot columns, so a single
         # pass over the initial pivot hits fully reduces the input.
         for c in [c for c in out if c in pivots]:
@@ -138,7 +143,7 @@ class Echelon:
             if g != 1:
                 out = {j: v // g for j, v in out.items()}
             head = out[p]
-        for r in self._rows:
+        for r in self.int_rows:
             if p not in r:
                 continue
             coef = r.pop(p)
@@ -165,8 +170,8 @@ class Echelon:
             if g != 1:
                 for j in r:
                     r[j] //= g
-        self.pivots[p] = len(self._rows)
-        self._rows.append(out)
+        self.pivots[p] = len(self.int_rows)
+        self.int_rows.append(out)
         self._values = None
         return True
 
@@ -195,40 +200,50 @@ class AffineSolution:
 
 
 class Matrix:
-    """Immutable-by-convention exact matrix with sparse rows."""
+    """Immutable-by-convention exact matrix in the canonical form of the
+    module docstring: integer rows `ints` over the denominator `den`."""
 
-    __slots__ = ("field", "nrows", "ncols", "rows")
+    __slots__ = ("field", "nrows", "ncols", "ints", "den")
 
     def __init__(self, field: Field, nrows: int, ncols: int, rows: list[Row] | None = None):
-        self.field = field
-        self.nrows = nrows
-        self.ncols = ncols
+        """Build from rows of field values (dicts column -> value)."""
         if rows is None:
             rows = [{} for _ in range(nrows)]
         if len(rows) != nrows:
             raise ShapeMismatch(f"{len(rows)} rows for a {nrows}x{ncols} matrix")
-        self.rows = rows
+        self.field = field
+        self.nrows = nrows
+        self.ncols = ncols
+        self.ints, self.den = _to_ints(rows)
+
+    @classmethod
+    def _of(cls, field: Field, nrows: int, ncols: int, ints: IntRows, den: int = 1) -> "Matrix":
+        """Matrix of zero-free integer rows over the positive `den` (residues
+        over 1 in GF(p)), taking ownership of `ints`; the common factor of
+        the entries and `den` is divided out."""
+        if den != 1:
+            g = den
+            for r in ints:
+                if r:
+                    g = gcd(g, *r.values())
+                    if g == 1:
+                        break
+            if g != 1:
+                den //= g
+                ints = [{j: v // g for j, v in r.items()} for r in ints]
+        m = object.__new__(cls)
+        m.field, m.nrows, m.ncols, m.ints, m.den = field, nrows, ncols, ints, den
+        return m
 
     # -- construction --------------------------------------------------
 
     @classmethod
     def zeros(cls, field, nrows, ncols):
-        return cls(field, nrows, ncols)
+        return cls._of(field, nrows, ncols, [{} for _ in range(nrows)])
 
     @classmethod
     def identity(cls, field, n):
-        return cls(field, n, n, [{i: field.one} for i in range(n)])
-
-    @classmethod
-    def from_dense(cls, field, entries):
-        nrows = len(entries)
-        ncols = len(entries[0]) if nrows else 0
-        rows = []
-        for r in entries:
-            if len(r) != ncols:
-                raise ShapeMismatch("ragged dense matrix")
-            rows.append({j: v for j, v in enumerate(r) if v})
-        return cls(field, nrows, ncols, rows)
+        return cls._of(field, n, n, [{i: 1} for i in range(n)])
 
     @classmethod
     def from_columns(cls, field, nrows, columns):
@@ -243,22 +258,20 @@ class Matrix:
 
     # -- basic queries --------------------------------------------------
 
-    def entry(self, i, j):
-        return self.rows[i].get(j, self.field.zero)
+    @property
+    def rows(self) -> list[Row]:
+        """The entries in field values, one dict per row with no zeros
+        (read only; over GF(p) these are the stored rows)."""
+        if self.field.characteristic:
+            return self.ints
+        d = self.den
+        return [{j: Fraction(v, d) for j, v in r.items()} for r in self.ints]
 
     def nnz(self) -> int:
-        return sum(len(r) for r in self.rows)
+        return sum(len(r) for r in self.ints)
 
     def is_zero(self) -> bool:
-        return all(not r for r in self.rows)
-
-    def to_dense(self):
-        z = self.field.zero
-        return [[r.get(j, z) for j in range(self.ncols)] for r in self.rows]
-
-    def column(self, j):
-        z = self.field.zero
-        return [r.get(j, z) for r in self.rows]
+        return all(not r for r in self.ints)
 
     def __eq__(self, other):
         if not isinstance(other, Matrix):
@@ -267,7 +280,8 @@ class Matrix:
             self.field == other.field
             and self.nrows == other.nrows
             and self.ncols == other.ncols
-            and self.rows == other.rows
+            and self.den == other.den
+            and self.ints == other.ints
         )
 
     def __repr__(self):
@@ -275,36 +289,17 @@ class Matrix:
 
     # -- arithmetic -----------------------------------------------------
 
-    def _check_same_shape(self, other):
+    def __add__(self, other):
         self.field.check_same(other.field)
         if (self.nrows, self.ncols) != (other.nrows, other.ncols):
             raise ShapeMismatch(
                 f"{self.nrows}x{self.ncols} vs {other.nrows}x{other.ncols}"
             )
-
-    def __add__(self, other):
-        self._check_same_shape(other)
-        F = self.field
-        rows = []
-        for ra, rb in zip(self.rows, other.rows):
-            row = dict(ra)
-            for j, v in rb.items():
-                w = F.add(row.get(j, F.zero), v)
-                if w:
-                    row[j] = w
-                else:
-                    row.pop(j, None)
-            rows.append(row)
-        return Matrix(F, self.nrows, self.ncols, rows)
+        one = self.field.one
+        return _combination(self.field, self.nrows, self.ncols, ((one, self), (one, other)))
 
     def scale(self, c):
-        F = self.field
-        if c == F.zero:
-            return Matrix.zeros(F, self.nrows, self.ncols)
-        return Matrix(
-            F, self.nrows, self.ncols,
-            [{j: F.mul(c, v) for j, v in r.items()} for r in self.rows],
-        )
+        return _combination(self.field, self.nrows, self.ncols, ((c, self),))
 
     def __matmul__(self, other):
         if not isinstance(other, Matrix):
@@ -312,32 +307,32 @@ class Matrix:
         self.field.check_same(other.field)
         if self.ncols != other.nrows:
             raise ShapeMismatch(f"{self.ncols} cols vs {other.nrows} rows")
-        return Matrix(self.field, self.nrows, other.ncols, _product(self, other))
+        rows = _int_matmul(self.ints, other.ints, self.field.characteristic)
+        return Matrix._of(self.field, self.nrows, other.ncols, rows, self.den * other.den)
 
     def matvec(self, vec):
         if len(vec) != self.ncols:
             raise ShapeMismatch(f"vector length {len(vec)} vs {self.ncols} cols")
         column = Matrix(self.field, self.ncols, 1, [{0: x} if x else {} for x in vec])
         zero = self.field.zero
-        return [r.get(0, zero) for r in _product(self, column)]
+        return [r.get(0, zero) for r in (self @ column).rows]
 
     def transpose(self):
-        rows: list[Row] = [{} for _ in range(self.ncols)]
-        for i, r in enumerate(self.rows):
+        rows: IntRows = [{} for _ in range(self.ncols)]
+        for i, r in enumerate(self.ints):
             for j, v in r.items():
                 rows[j][i] = v
-        return Matrix(self.field, self.ncols, self.nrows, rows)
+        return Matrix._of(self.field, self.ncols, self.nrows, rows, self.den)
 
     def kron(self, other: "Matrix") -> "Matrix":
         """Kronecker product, row/column index of (i, k) is i*other.n + k."""
         self.field.check_same(other.field)
-        F = self.field
-        p, nb = F.characteristic, other.ncols
+        p, nb = self.field.characteristic, other.ncols
         # Left operands are often identities, sections or swaps: an entry
-        # equal to one (the int 1 or Fraction(1)) copies the right row.
-        rows: list[Row] = []
-        for ra in self.rows:
-            for rb in other.rows:
+        # equal to one copies the right row.
+        rows: IntRows = []
+        for ra in self.ints:
+            for rb in other.ints:
                 row = {}
                 for j, a in ra.items():
                     base = j * nb
@@ -351,20 +346,21 @@ class Matrix:
                         for l, b in rb.items():
                             row[base + l] = a * b
                 rows.append(row)
-        return Matrix(F, self.nrows * other.nrows, self.ncols * other.ncols, rows)
+        return Matrix._of(self.field, self.nrows * other.nrows, self.ncols * other.ncols,
+                          rows, self.den * other.den)
 
     # -- eliminations ----------------------------------------------------
 
     def _echelon(self, pivot_limit=None) -> Echelon:
         ech = Echelon(self.field, self.ncols, pivot_limit)
-        ech.extend(self.rows)
+        ech.extend(self.ints)  # the span of the rows does not see `den`
         return ech
 
     def rref(self):
         """Return (reduced row echelon form, rank, pivot columns)."""
         ech = self._echelon()
         pivots = ech.pivot_columns()
-        rows = [dict(ech.rows[ech.pivots[p]]) for p in pivots]
+        rows = [ech.rows[ech.pivots[p]] for p in pivots]
         rows += [{} for _ in range(self.nrows - len(rows))]
         return Matrix(self.field, self.nrows, self.ncols, rows), ech.rank, pivots
 
@@ -383,13 +379,11 @@ class Matrix:
         if len(b) != self.nrows:
             raise ShapeMismatch(f"rhs length {len(b)} vs {self.nrows} rows")
         F = self.field
-        bcol = self.ncols
+        bcol, den = self.ncols, self.den
         ech = Echelon(F, bcol + 1, pivot_limit=bcol)
-        for i, r in enumerate(self.rows):
-            row = dict(r)
-            if b[i] != F.zero:
-                row[bcol] = b[i]
-            ech.insert(row)
+        # the stored rows are den times the rows of M, so b scales by den
+        for r, bi in zip(self.ints, b):
+            ech.insert({**r, bcol: bi * den} if bi else r)
         if any(res.get(bcol) for res in ech.residues):
             return AffineSolution(is_empty=True)
         particular = [F.zero] * self.ncols
@@ -403,47 +397,26 @@ class Matrix:
         return self.rank() == self.ncols
 
 
-def _product(a: Matrix, b: Matrix) -> list[Row]:
-    """Rows of a @ b, in canonical field values."""
-    ia, mod, sa = _int_rows(a)
-    ib, _, sb = _int_rows(b)
-    rows = _int_matmul(ia, ib, mod)
-    if mod is None:
-        s = sa * sb
-        rows = [{j: Fraction(v, s) for j, v in r.items()} for r in rows]
-    return rows
-
-
 def _combination(field: Field, nrows: int, ncols: int, terms) -> Matrix:
     """sum c * m over the (c, m) pairs of the iterable `terms`, read once
-    and one term at a time: rows accumulate on integers (over Q times a
-    common denominator, raised only when a term needs it) and each output
-    entry is divided by it (or reduced mod p) once."""
-    mod = field.characteristic
+    and one term at a time: rows accumulate on integers over a common
+    denominator, raised only when a term needs it."""
     acc: IntRows = [{} for _ in range(nrows)]
     scale = 1
     for c, m in terms:
-        if mod:
-            k, rows = c, m.rows
-        else:
-            rows, s = _scaled(m.rows)
-            d = c.denominator * s
-            if scale % d:
-                grow = lcm(scale, d) // scale
-                for out in acc:
-                    for j in out:
-                        out[j] *= grow
-                scale *= grow
-            k = c.numerator * (scale // d)
-        for out, r in zip(acc, rows):
+        d = c.denominator * m.den
+        if scale % d:
+            grow = lcm(scale, d) // scale
+            for out in acc:
+                for j in out:
+                    out[j] *= grow
+            scale *= grow
+        k = c.numerator * (scale // d)
+        for out, r in zip(acc, m.ints):
             get = out.get
             for j, v in r.items():
                 out[j] = get(j, 0) + k * v
-    if mod:
-        rows = [{j: w for j, v in r.items() if (w := v % mod)} for r in acc]
-    else:
-        rows = [{j: Fraction(v, scale) for j, v in r.items() if v} for r in acc]
-    return Matrix(field, nrows, ncols, rows)
+    return Matrix._of(field, nrows, ncols, _nonzero(acc, field.characteristic), scale)
 
 
 def _difference_echelon(field: Field, ncols: int, pairs, q: int = 1) -> Echelon:
@@ -451,16 +424,16 @@ def _difference_echelon(field: Field, ncols: int, pairs, q: int = 1) -> Echelon:
     pairs, r being fixed by the shapes: the fixed points of two actions
     (centers, invariants, the W-space, the balancing relations).  Each row
     is built in place on integers, never through a Kronecker product; over
-    Q each pair is scaled by its own common denominator, since only the
+    Q each pair is brought to its own common denominator, since only the
     span matters, and over GF(p) rows hold raw residues."""
     mod = field.characteristic
     ech = Echelon(field, ncols)
     for a, b in pairs:
-        if mod:
-            arows, brows = a.rows, b.rows
-        else:
-            rows, _ = _scaled(a.rows + b.rows)
-            arows, brows = rows[:a.nrows], rows[a.nrows:]
+        arows, brows = a.ints, b.ints
+        if a.den != b.den:
+            d = lcm(a.den, b.den)
+            arows = [{j: v * (d // a.den) for j, v in r.items()} for r in arows]
+            brows = [{j: v * (d // b.den) for j, v in r.items()} for r in brows]
         # row c*q + d of a (x) I_q is row c of a at columns x*q + d, and
         # row u*b.nrows + v of I_r (x) b is row v of b at columns u*b.ncols + y
         left = [(arow, d) for arow in arows for d in range(q)]
@@ -481,32 +454,32 @@ def _difference_echelon(field: Field, ncols: int, pairs, q: int = 1) -> Echelon:
     return ech
 
 
-def _int_rows(m: Matrix) -> tuple[IntRows, int | None, int]:
-    """(integer rows of `m` times `scale`, modulus or None, scale); over
-    GF(p) these are the rows themselves, which callers must not mutate."""
-    if m.field.characteristic:
-        return m.rows, m.field.characteristic, 1
-    rows, scale = _scaled(m.rows)
-    return rows, None, scale
-
-
-def _scaled(rows) -> tuple[IntRows, int]:
-    """(integer rows, scale): rational `rows` times the common denominator
-    of their entries, which is `scale`."""
-    scale = 1
+def _to_ints(rows) -> tuple[IntRows, int]:
+    """(integer rows, denominator) of rows of field values in canonical
+    form: each value times the least common denominator, zeros dropped.
+    Over GF(p) these are the residues over 1."""
+    den = 1
     for r in rows:
         for v in r.values():
-            if scale % v.denominator:
-                scale = lcm(scale, v.denominator)
-    if scale == 1:  # the common case: identities, sections, swaps
-        return [{j: v.numerator for j, v in r.items()} for r in rows], 1
-    return [{j: v.numerator * (scale // v.denominator) for j, v in r.items()}
-            for r in rows], scale
+            if den % v.denominator:
+                den = lcm(den, v.denominator)
+    if den == 1:  # the common case, and every case over GF(p)
+        return [{j: v.numerator for j, v in r.items() if v} for r in rows], 1
+    return [{j: v.numerator * (den // v.denominator) for j, v in r.items() if v}
+            for r in rows], den
 
 
-def _int_matmul(a: IntRows, b: IntRows, mod: int | None) -> IntRows:
-    """Sparse product of integer rows; with a modulus each output entry
-    is reduced once.  No zero is stored in the result."""
+def _nonzero(rows: IntRows, mod: int) -> IntRows:
+    """Integer rows with zeros dropped; with a modulus (nonzero `mod`)
+    each entry is reduced first."""
+    if mod:
+        return [{j: w for j, v in r.items() if (w := v % mod)} for r in rows]
+    return [{j: v for j, v in r.items() if v} for r in rows]
+
+
+def _int_matmul(a: IntRows, b: IntRows, mod: int) -> IntRows:
+    """Sparse product of integer rows; with a modulus (nonzero `mod`) each
+    output entry is reduced once.  No zero is stored in the result."""
     out = []
     for ra in a:
         acc: dict = {}
@@ -518,10 +491,11 @@ def _int_matmul(a: IntRows, b: IntRows, mod: int | None) -> IntRows:
             else:
                 for j, y in b[k].items():
                     acc[j] = get(j, 0) + x * y
-        if mod is None:
-            out.append({j: v for j, v in acc.items() if v})
-        else:
+        # filtered row by row, so that one unfiltered row at a time is alive
+        if mod:
             out.append({j: w for j, v in acc.items() if (w := v % mod)})
+        else:
+            out.append({j: v for j, v in acc.items() if v})
     return out
 
 

@@ -25,7 +25,6 @@ point).  Every solved R is re-verified against the complete axiom list by
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .algebra import (
     Algebra,
@@ -43,7 +42,7 @@ from .errors import (
     UnvalidatedAlgebra,
 )
 from .fields import Field
-from .linalg import Matrix, _difference_echelon, _scaled, nullspace_from_echelon
+from .linalg import Matrix, _difference_echelon, _nonzero, _to_ints, nullspace_from_echelon
 from .tensor import TensorElement, tensor_mul, unit_tensor
 
 DEFAULT_SIZE_CAP = 20
@@ -124,15 +123,12 @@ def solve_rmatrix(A: Algebra, size_cap: int | None = DEFAULT_SIZE_CAP):
         [(xy, v) for xy, v in enumerate(w) if v != F.zero] for w in w_basis
     ]
     prods, mod, pscale = A._int_products()
-    if mod:
-        w_ints, wscale = [dict(w) for w in w_nonzeros], 1
-    else:
-        w_ints, wscale = _scaled([dict(w) for w in w_nonzeros])
+    w_ints, wscale = _to_ints([dict(w) for w in w_nonzeros])
 
     # Affine system: unknowns x[j, t] with R = sum x[j,t] e_j (x) w_t.
     # Block 1 demands (leg1*leg2) (x) leg3 = 1 (x) 1, block 2 demands
     # leg2 (x) (leg3*leg1) = 1 (x) 1.  Entries accumulate as integers
-    # (over Q times pscale * wscale) and are normalized once each.
+    # over the denominator pscale * wscale.
     acc: list[dict] = [{} for _ in range(2 * n * n)]
     for j in range(n):
         for t in range(wdim):
@@ -145,11 +141,6 @@ def solve_rmatrix(A: Algebra, size_cap: int | None = DEFAULT_SIZE_CAP):
                 for d, cd in prods[y][j]:
                     row = acc[n * n + x * n + d]
                     row[col] = row.get(col, 0) + cd * v
-    if mod:
-        rows = [{c: w for c, v in r.items() if (w := v % mod)} for r in acc]
-    else:
-        scale = pscale * wscale
-        rows = [{c: Fraction(v, scale) for c, v in r.items() if v} for r in acc]
     rhs_block = [F.zero] * (n * n)
     for c, uc in enumerate(A.unit):
         if uc == F.zero:
@@ -157,7 +148,7 @@ def solve_rmatrix(A: Algebra, size_cap: int | None = DEFAULT_SIZE_CAP):
         for d, ud in enumerate(A.unit):
             if ud != F.zero:
                 rhs_block[c * n + d] = F.mul(uc, ud)
-    system = Matrix(F, 2 * n * n, unknowns, rows)
+    system = Matrix._of(F, 2 * n * n, unknowns, _nonzero(acc, mod), pscale * wscale)
     solution = system.solve_affine(rhs_block + rhs_block)
     if solution.is_empty:
         return None

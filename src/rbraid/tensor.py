@@ -15,6 +15,7 @@ from .errors import (
     ArityMismatch,
     BadPermutation,
     BadSlots,
+    DivisionByZero,
     LegOutOfRange,
     ParseError,
     ShapeMismatch,
@@ -266,7 +267,10 @@ class TensorElement:
                     raise ParseError(f"tensor: bad monomial {monomial!r}")
                 if not isinstance(value, str):
                     raise ParseError(f"tensor: value {value!r} is not a scalar string")
-                terms.append((monomial, F.parse(value)))
+                try:
+                    terms.append((monomial, F.parse(value)))
+                except (ParseError, DivisionByZero) as exc:
+                    raise ParseError(f"tensor: value: {exc}") from exc
             return cls.from_terms(algebra, arity, terms)
         except KeyError as exc:
             raise ParseError(f"tensor: missing key {exc.args[0]!r}") from exc

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from .bimodules import Bimodule, swap_matrix
 from .checks import CheckResult
 from .errors import UnsupportedSize, UnverifiedCertificate
-from .linalg import IntRows, Matrix, _combination, _int_matmul, _int_rows
+from .linalg import IntRows, Matrix, _combination, _int_matmul
 from .rmatrix import RMatrixCertificate
 
 DEFAULT_DIM_CAP = 16
@@ -60,8 +60,8 @@ def build_omega(cert: RMatrixCertificate, V: Bimodule,
 # The triple-power products are the one place where dense-ish exact
 # matrix multiplication gets big (4096 x 4096 for a 16-dimensional
 # bimodule).  Both sides of each equation scale the same way, so the
-# checks compare integer rows of the scaled operator and never convert
-# back to field values.
+# checks compare products of the operator's stored integer rows and never
+# convert to field values.
 
 
 def _int_embed12(rows: IntRows, m: int) -> IntRows:
@@ -106,7 +106,7 @@ def check_qybe(op: YBOperator) -> CheckResult:
     """Compare the two triple products of the quantum Yang-Baxter
     equation on the full triple tensor power."""
     m = op.dim
-    rows, mod, _ = _int_rows(op.omega)
+    rows, mod = op.omega.ints, op.omega.field.characteristic
     o12 = _int_embed12(rows, m)
     o13 = _int_embed13(rows, m)
     o23 = _int_embed23(rows, m)
@@ -119,7 +119,7 @@ def check_qybe(op: YBOperator) -> CheckResult:
 def check_braid(op: YBOperator) -> CheckResult:
     """Compare the two triple products of the braid equation."""
     m = op.dim
-    rows, mod, _ = _int_rows(op.omega)
+    rows, mod = op.omega.ints, op.omega.field.characteristic
     o12 = _int_embed12(rows, m)
     o23 = _int_embed23(rows, m)
     lhs = _int_matmul(o12, _int_matmul(o23, o12, mod), mod)
@@ -130,14 +130,12 @@ def check_braid(op: YBOperator) -> CheckResult:
 
 def check_omega_cubed(op: YBOperator) -> CheckResult:
     """The operator restricted to its image is an involution: its cube
-    equals itself.  On the scaled copy this reads M^3 = scale^2 M."""
-    rows, mod, scale = _int_rows(op.omega)
+    equals itself.  On the integer rows M over the denominator d this
+    reads M^3 = d^2 M."""
+    rows, mod = op.omega.ints, op.omega.field.characteristic
     cubed = _int_matmul(rows, _int_matmul(rows, rows, mod), mod)
-    if mod is None:
-        sq = scale * scale
-        expect = [{j: sq * v for j, v in r.items()} for r in rows]
-    else:
-        expect = rows
+    sq = op.omega.den ** 2
+    expect = rows if sq == 1 else [{j: sq * v for j, v in r.items()} for r in rows]
     ok = cubed == expect
     return CheckResult("omega_cubed", ok,
                        None if ok else _int_diff(cubed, expect))

@@ -17,7 +17,7 @@ from conftest import upper_triangular_2x2
 def test_f_map_scalar_algebra():
     m = f_map(build_matrix_algebra(1, QQ))
     assert m.nrows == m.ncols == 1
-    assert m.entry(0, 0) == QQ.one
+    assert m.rows == [{0: QQ.one}]
 
 
 def test_f_map_m2_bijective():

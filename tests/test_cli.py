@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from rbraid import cli
+from rbraid.checks import CheckReport
 from rbraid.cli import main
 
 M2 = {"field": {"kind": "Q"}, "algebra": {"kind": "matrix", "n": 2}}
@@ -132,6 +133,8 @@ def test_verify_wrong_tensor_fails(tmp_path, capsys):
     {"arity": 3, "coeffs": [{"monomial": [True, 0, 0], "value": "1"}]},
     {"arity": 3, "coeffs": [{"monomial": [0.0, 0, 0], "value": "1"}]},
     {"arity": 3, "coeffs": [{"monomial": [0, 0, 0], "value": 1}]},
+    {"arity": 3, "coeffs": [{"monomial": [0, 0, 0], "value": "x"}]},
+    {"arity": 3, "coeffs": [{"monomial": [0, 0, 0], "value": "1/0"}]},
     {"arity": 4, "coeffs": [{"monomial": [0, 0, 0, 0], "value": "1"}]},
     {"arity": True, "coeffs": []},
     {"arity": "3", "coeffs": []},
@@ -293,12 +296,84 @@ def test_free_rank_with_leading_zeros(tmp_path, capsys):
     assert code == 0 and report["payload"]["dim"] == 8
 
 
+M3 = {"field": {"kind": "Q"}, "algebra": {"kind": "matrix", "n": 3}}
+
+
+@pytest.mark.parametrize("command", [[], ["--force"]])
+def test_oversized_square_rejected_before_building(tmp_path, capsys, monkeypatch, command):
+    # the square bimodule of M3 has dim 81 > 64: refused even with --force,
+    # before the solve and before any bimodule is built
+    path = write(tmp_path, "m3.json", M3)
+    for name in ["solve_rmatrix", "square_bimodule", "regular_bimodule", "free_bimodule"]:
+        monkeypatch.setattr(cli, name, refuse)
+    code, report = run(capsys, "audit", path, "--triple", "square,square,square", *command)
+    assert code == 2 and report["status"] == "error"
+    assert report["error"] == "square bimodule: dim 81 exceeds the build limit 64"
+    code, report = run(capsys, "ybe", path, "--bimodule", "square", *command)
+    assert code == 2 and "dim 81 exceeds the build limit 64" in report["error"]
+
+
+def stub_audit(monkeypatch):
+    """Bimodule builders and the audit replaced by stubs: (names built)."""
+    built = []
+    for name in ["square_bimodule", "regular_bimodule", "free_bimodule"]:
+        monkeypatch.setattr(cli, name, lambda A, *rest, name=name: built.append(name) or name)
+    monkeypatch.setattr(cli, "audit_braiding", lambda cert, M, N, P: CheckReport([]))
+    return built
+
+
+def test_audit_limit_needs_force(tmp_path, capsys, monkeypatch):
+    path = write(tmp_path, "m2.json", M2)
+    built = stub_audit(monkeypatch)
+    # 64 * 16 * 16 > 4096: refused before the solve unless --force is given
+    monkeypatch.setattr(cli, "solve_rmatrix", refuse)
+    code, report = run(capsys, "audit", path, "--triple", "free:16,square,square")
+    assert code == 2 and report["status"] == "error"
+    assert report["error"] == ("bimodule dims 64x16x16 = 16384 exceed the audit limit 4096 "
+                               "(lift with --force)")
+    assert built == []
+    monkeypatch.undo()
+    built = stub_audit(monkeypatch)
+    code, report = run(capsys, "audit", path, "--triple", "free:16,square,square", "--force")
+    assert code == 0 and built == ["free_bimodule", "square_bimodule", "square_bimodule"]
+    # the square bimodule of a dimension-4 algebra, cubed, is at the limit
+    path = write(tmp_path, "quat.json", QUAT)
+    code, report = run(capsys, "audit", path, "--triple", "square,square,square")
+    assert code == 0 and report["status"] == "pass"
+
+
+@pytest.mark.parametrize("algebra, message", [
+    ({"kind": "poly_quotient", "modulus": 1.5},
+     "algebra.modulus: expected the coefficients of a monic polynomial of degree >= 1, got 1.5"),
+    ({"kind": "poly_quotient", "modulus": ["1"]},
+     "algebra.modulus: expected the coefficients of a monic polynomial of degree >= 1, "
+     "got ['1']"),
+    ({"kind": "poly_quotient", "modulus": ["1", "x"]}, "algebra.modulus: bad scalar literal 'x'"),
+    ({"kind": "matrix", "n": 0}, "algebra.n: expected an integer >= 1, got 0"),
+    ({"kind": "tensor", "left": {"kind": "matrix", "n": 2}, "right": {"kind": "matrix", "n": -1}},
+     "algebra.right.n: expected an integer >= 1, got -1"),
+    ({"kind": "custom", "dim": 0, "unit": [], "table": []},
+     "algebra.dim: expected an integer >= 1, got 0"),
+    ({"kind": "quaternion", "a": "1/0", "b": "1"}, "algebra.a: division by zero in Q"),
+])
+def test_input_errors_name_their_key(tmp_path, capsys, algebra, message):
+    path = write(tmp_path, "bad.json", {"field": {"kind": "Q"}, "algebra": algebra})
+    code, report = run(capsys, "validate", path)
+    assert code == 2 and report["status"] == "error"
+    assert report["error"] == message
+
+
 def test_error_message_formats(tmp_path, capsys):
     # input errors print their message alone, other errors lead with the type
     path = write(tmp_path, "m2.json", M2)
     code, report = run(capsys, "ybe", path, "--bimodule", "free:0")
     assert code == 2
-    assert report["error"] == "ShapeMismatch: free rank must be >= 1"
+    assert report["error"] == "bad free rank in 'free:0': must be >= 1"
+    singular = write(tmp_path, "singular.json", {"field": {"kind": "Q"}, "algebra": {
+        "kind": "quaternion", "a": "0", "b": "-1"}})
+    code, report = run(capsys, "validate", singular)
+    assert code == 2
+    assert report["error"] == "NonInvertibleParameter: a=0, b=-1"
     code, report = run(capsys, "ybe", path, "--bimodule", "cube")
     assert code == 2
     assert report["error"] == "unknown bimodule 'cube'; use regular, square or free:<d>"

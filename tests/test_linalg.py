@@ -17,7 +17,16 @@ from rbraid.linalg import (
 
 
 def mat(entries, field=QQ):
-    return Matrix.from_dense(field, [[field.coerce(v) for v in row] for row in entries])
+    rows = [{j: field.coerce(v) for j, v in enumerate(row) if v} for row in entries]
+    return Matrix(field, len(rows), len(entries[0]), rows)
+
+
+def entry(m, i, j):
+    return m.rows[i].get(j, m.field.zero)
+
+
+def to_dense(m):
+    return [[entry(m, i, j) for j in range(m.ncols)] for i in range(m.nrows)]
 
 
 def test_rref_identity():
@@ -36,7 +45,7 @@ def test_rref_rank_one():
     m = mat([[1, 2], [2, 4]])
     r, rank, pivots = m.rref()
     assert rank == 1 and pivots == (0,)
-    assert r.to_dense() == [[1, 2], [0, 0]]
+    assert to_dense(r) == [[1, 2], [0, 0]]
 
 
 def test_rref_idempotent():
@@ -106,16 +115,16 @@ def test_is_bijective():
 def test_matmul_and_kron():
     a = mat([[1, 2], [3, 4]])
     b = mat([[0, 1], [1, 0]])
-    assert (a @ b).to_dense() == [[2, 1], [4, 3]]
+    assert to_dense(a @ b) == [[2, 1], [4, 3]]
     k = a.kron(Matrix.identity(QQ, 2))
-    assert k.nrows == 4 and k.entry(0, 0) == 1 and k.entry(1, 1) == 1
-    assert k.entry(0, 2) == 2 and k.entry(3, 3) == 4
+    assert k.nrows == 4 and entry(k, 0, 0) == 1 and entry(k, 1, 1) == 1
+    assert entry(k, 0, 2) == 2 and entry(k, 3, 3) == 4
 
 
 def test_transpose_and_column():
     a = mat([[1, 2, 3], [4, 5, 6]])
-    assert a.transpose().to_dense() == [[1, 4], [2, 5], [3, 6]]
-    assert a.column(1) == [2, 5]
+    assert to_dense(a.transpose()) == [[1, 4], [2, 5], [3, 6]]
+    assert [entry(a, i, 1) for i in range(a.nrows)] == [2, 5]
 
 
 def test_mixed_field_operands_rejected():
@@ -200,7 +209,7 @@ def sparse_matrices(draw, field, nrows, ncols):
     return Matrix(field, nrows, ncols, rows)
 
 
-def reference_matmul(a, b):
+def reference_matmul_rows(a, b):
     F = a.field
     rows = []
     for i in range(a.nrows):
@@ -208,14 +217,18 @@ def reference_matmul(a, b):
         for j in range(b.ncols):
             acc = F.zero
             for k in range(a.ncols):
-                acc = F.add(acc, F.mul(a.entry(i, k), b.entry(k, j)))
+                acc = F.add(acc, F.mul(entry(a, i, k), entry(b, k, j)))
             if acc != F.zero:
                 row[j] = acc
         rows.append(row)
-    return Matrix(F, a.nrows, b.ncols, rows)
+    return rows
 
 
-def reference_kron(a, b):
+def reference_matmul(a, b):
+    return Matrix(a.field, a.nrows, b.ncols, reference_matmul_rows(a, b))
+
+
+def reference_kron_rows(a, b):
     F = a.field
     rows = []
     for i in range(a.nrows):
@@ -223,11 +236,15 @@ def reference_kron(a, b):
             row = {}
             for j in range(a.ncols):
                 for l in range(b.ncols):
-                    v = F.mul(a.entry(i, j), b.entry(k, l))
+                    v = F.mul(entry(a, i, j), entry(b, k, l))
                     if v != F.zero:
                         row[j * b.ncols + l] = v
             rows.append(row)
-    return Matrix(F, a.nrows * b.nrows, a.ncols * b.ncols, rows)
+    return rows
+
+
+def reference_kron(a, b):
+    return Matrix(a.field, a.nrows * b.nrows, a.ncols * b.ncols, reference_kron_rows(a, b))
 
 
 def assert_canonical(m):
@@ -265,6 +282,66 @@ def test_kron_matches_reference(field, n1, m1, n2, m2, data):
         product = x.kron(y)
         assert product == reference_kron(x, y)
         assert_canonical(product)
+
+
+# -- the stored form: integer rows over one common denominator ---------------
+
+
+def assert_stored_canonical(m):
+    """Zero-free integer rows over a positive denominator whose gcd with
+    all entries is 1; over GF(p) residues over 1."""
+    assert type(m.den) is int and m.den > 0 and len(m.ints) == m.nrows
+    values = [v for r in m.ints for v in r.values()]
+    assert all(type(v) is int and v != 0 for v in values)
+    assert all(0 <= j < m.ncols for r in m.ints for j in r)
+    if m.field is QQ:
+        assert gcd(m.den, *values) == 1
+    else:
+        assert m.den == 1 and all(0 < v < m.field.p for v in values)
+
+
+def nonzero_scalars(field):
+    if field is QQ:
+        return st.builds(Fraction, st.integers(-6, 6).filter(bool), st.integers(1, 6))
+    return st.integers(1, field.p - 1)
+
+
+@given(st.sampled_from(KERNEL_FIELDS), st.integers(0, 4), st.integers(0, 4),
+       st.integers(0, 4), st.data())
+def test_stored_form_matches_reference(field, n, m, k, data):
+    F = field
+    a = data.draw(sparse_matrices(field, n, m))
+    b = data.draw(sparse_matrices(field, m, k))
+    c = F.coerce(data.draw(nonzero_scalars(field)))
+    vec = [F.coerce(v) for v in data.draw(st.lists(st.integers(-3, 3), min_size=m, max_size=m))]
+    # each operation gives a canonical matrix whose field values are the
+    # all-pairs F.add / F.mul reference
+    cases = [
+        (Matrix(F, n, m, [dict(r) for r in a.rows]), a.rows),
+        (a @ b, reference_matmul_rows(a, b)),
+        (a.kron(b), reference_kron_rows(a, b)),
+        (a.transpose(), [{i: v for i in range(n) if (v := entry(a, i, j))} for j in range(m)]),
+        (_combination(F, n, m, [(c, a), (F.one, a)]),
+         [{j: w for j, v in r.items() if (w := F.add(F.mul(c, v), v))} for r in a.rows]),
+        (_combination(F, n, m, [(c, a), (F.neg(c), a)]), [{} for _ in range(n)]),
+    ]
+    for got, rows in cases:
+        assert_stored_canonical(got)
+        assert got.rows == rows
+        assert_canonical(got)
+        # built from field values, the same matrix stores the same data
+        assert Matrix(F, got.nrows, got.ncols, rows) == got
+    # matvec returns canonical field values
+    column = Matrix(F, m, 1, [{0: x} if x else {} for x in vec])
+    got = a.matvec(vec)
+    assert got == [r.get(0, F.zero) for r in reference_matmul_rows(a, column)]
+    assert_canonical_values(field, got)
+    # the same matrix reached through products over other denominators
+    inverse = F.inv(c)
+    assert a.scale(c) @ b.scale(inverse) == a @ b
+    assert Matrix.identity(F, n) @ a @ Matrix.identity(F, m) == a
+    assert (a.scale(c) @ b).scale(inverse) == a @ b
+    assert a.scale(c).kron(b.scale(inverse)) == a.kron(b)
 
 
 # -- integer elimination against a Fraction Gauss-Jordan reference -----------

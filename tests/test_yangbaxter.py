@@ -116,11 +116,10 @@ def test_size_cap(m2_cert):
 
 def test_embedding_consistency(m2_cert):
     # the leg-1,2 embedding is the Kronecker product with the identity
-    from rbraid.linalg import _int_rows
     from rbraid.yangbaxter import _int_embed12, _int_embed13, _int_embed23
 
     op = build_omega(m2_cert, regular_bimodule(m2_cert.algebra))
-    rows, mod, scale = _int_rows(op.omega)
+    rows, scale = op.omega.ints, op.omega.den
     m = op.dim
     kron = op.omega.kron(Matrix.identity(QQ, m))
     e12 = _int_embed12(rows, m)
