@@ -13,26 +13,27 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .algebra import Algebra, center
-from .linalg import Matrix
+from .linalg import Matrix, _nonzero
 from .rmatrix import DEFAULT_SIZE_CAP, solve_rmatrix
 from .tensor import unit_tensor
 
 
 def f_map(A: Algebra) -> Matrix:
     """Matrix of the enveloping map on the monomial basis: column (i, j)
-    is the flattened operator x -> e_i x e_j."""
+    is the flattened operator x -> e_i x e_j, whose entry in row r*n + c
+    is the coefficient of e_r in e_i (e_c e_j)."""
     n = A.dim
-    left = A.left_mult_matrices()
-    right = A.right_mult_matrices()
-    cols = []
+    prods, mod, scale = A._int_products()
+    rows = [{} for _ in range(n * n)]
     for i in range(n):
         for j in range(n):
-            rows = (left[i] @ right[j]).rows
-            flat = []
-            for row in rows:
-                flat.extend(row.get(c, A.field.zero) for c in range(n))
-            cols.append(flat)
-    return Matrix.from_columns(A.field, n * n, cols)
+            col = i * n + j
+            for c in range(n):
+                for m, cm in prods[c][j]:
+                    for r, cr in prods[i][m]:
+                        row = rows[r * n + c]
+                        row[col] = row.get(col, 0) + cm * cr
+    return Matrix._of(A.field, n * n, n * n, _nonzero(rows, mod), scale * scale)
 
 
 def is_epi_from_base(A: Algebra) -> bool:

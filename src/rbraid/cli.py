@@ -7,7 +7,10 @@ is informational and excluded from byte-stability guarantees.
 
 Exit codes: 0 for success/consistent, 1 for a mathematical negative
 (no R-matrix, a failed check, an inconsistent classification), 2 for
-input errors.
+input errors.  A usage error (an unknown subcommand, a missing or
+unknown argument) and an internal error (any other exception, its
+message prefixed with "internal error: <Type>:") also exit 2 with one
+JSON error object on stdout; `--help` prints its text and exits 0.
 """
 from __future__ import annotations
 
@@ -391,8 +394,20 @@ def _cmd_audit(args) -> int:
 # -- entry point -----------------------------------------------------------
 
 
+class _UsageError(Exception):
+    """A command line that the parser rejects."""
+
+
+class _Parser(argparse.ArgumentParser):
+    """Raises a usage error instead of printing usage and exiting; the
+    subcommand parsers inherit this class."""
+
+    def error(self, message):
+        raise _UsageError(message)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="rbraid",
         description="Exact canonical R-matrices for structure-constant algebras.",
     )
@@ -435,8 +450,18 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _emit_error(command, message: str) -> int:
+    error = {"command": command, "status": "error", "error": message}
+    json.dump(error, sys.stdout, sort_keys=True)
+    sys.stdout.write("\n")
+    return 2
+
+
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    try:
+        args = _build_parser().parse_args(argv)
+    except _UsageError as exc:
+        return _emit_error(None, f"usage: {exc}")
     try:
         return args.func(args)
     except RBraidError as exc:
@@ -445,10 +470,9 @@ def main(argv=None) -> int:
             message = str(exc)
         else:
             message = f"{type(exc).__name__}: {exc}"
-        error = {"command": args.command, "status": "error", "error": message}
-        json.dump(error, sys.stdout, sort_keys=True)
-        sys.stdout.write("\n")
-        return 2
+        return _emit_error(args.command, message)
+    except Exception as exc:  # a defect: still one JSON object and exit 2
+        return _emit_error(args.command, f"internal error: {type(exc).__name__}: {exc}")
 
 
 if __name__ == "__main__":

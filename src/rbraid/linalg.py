@@ -472,9 +472,15 @@ def _to_ints(rows) -> tuple[IntRows, int]:
 def _nonzero(rows: IntRows, mod: int) -> IntRows:
     """Integer rows with zeros dropped; with a modulus (nonzero `mod`)
     each entry is reduced first."""
+    return [_reduced(r, mod) for r in rows]
+
+
+def _reduced(r: dict, mod: int) -> dict:
+    """One integer map with zeros dropped, each entry reduced first when
+    there is a modulus (nonzero `mod`)."""
     if mod:
-        return [{j: w for j, v in r.items() if (w := v % mod)} for r in rows]
-    return [{j: v for j, v in r.items() if v} for r in rows]
+        return {j: w for j, v in r.items() if (w := v % mod)}
+    return {j: v for j, v in r.items() if v}
 
 
 def _int_matmul(a: IntRows, b: IntRows, mod: int) -> IntRows:

@@ -42,7 +42,8 @@ from .errors import (
     UnvalidatedAlgebra,
 )
 from .fields import Field
-from .linalg import Matrix, _difference_echelon, _nonzero, _to_ints, nullspace_from_echelon
+from .linalg import (Matrix, _difference_echelon, _nonzero, _reduced, _to_ints,
+                     nullspace_from_echelon)
 from .tensor import TensorElement, tensor_mul, unit_tensor
 
 DEFAULT_SIZE_CAP = 20
@@ -178,9 +179,10 @@ def _certify(A: Algebra, r: TensorElement, info: SolverInfo | None) -> RMatrixCe
 def _first_diff(lhs: TensorElement, rhs: TensorElement) -> str:
     """The first monomial, in sorted digit order, where the two differ."""
     F = lhs.algebra.field
-    for digits in sorted(lhs.coeffs.keys() | rhs.coeffs.keys()):
-        a = lhs.coeffs.get(digits, F.zero)
-        b = rhs.coeffs.get(digits, F.zero)
+    left, right = lhs.coeffs, rhs.coeffs
+    for digits in sorted(left.keys() | right.keys()):
+        a = left.get(digits, F.zero)
+        b = right.get(digits, F.zero)
         if a != b:
             return f"monomial {digits}: {F.format(a)} != {F.format(b)}"
     return "equal"
@@ -207,40 +209,42 @@ def _literal_pair_product(R, slots_a, slots_b):
     R_t at slots_b), expanded term by term without tensor_mul.
 
     Slots the two factors share multiply in order (first factor on the
-    left); every slot must be covered by at least one factor.
+    left); every slot must be covered by at least one factor, so with
+    three slots each the factors share exactly two.
     """
     A = R.algebra
-    F = A.field
-    prods = A.basis_products
+    prods, mod, scale = A._int_products()
     assert set(slots_a) | set(slots_b) == {1, 2, 3, 4}
     # (position, index in the first factor, index in the second factor)
-    shared = [(s - 1, slots_a.index(s), slots_b.index(s))
-              for s in range(1, 5) if s in slots_a and s in slots_b]
-    only_a = [(s - 1, slots_a.index(s)) for s in range(1, 5) if s not in slots_b]
-    only_b = [(s - 1, slots_b.index(s)) for s in range(1, 5) if s not in slots_a]
-    nz = list(R.coeffs.items())
-    terms = []
+    (p1, x1, y1), (p2, x2, y2) = [(s - 1, slots_a.index(s), slots_b.index(s))
+                                  for s in range(1, 5) if s in slots_a and s in slots_b]
+    ((pa, xa),) = [(s - 1, slots_a.index(s)) for s in range(1, 5) if s not in slots_b]
+    ((pb, yb),) = [(s - 1, slots_b.index(s)) for s in range(1, 5) if s not in slots_a]
+    nz = list(R.ints.items())
+    out = {}
+    get = out.get
+    key = [0, 0, 0, 0]
     for da, ca in nz:
+        row1 = prods[da[x1]]
+        row2 = prods[da[x2]]
+        key[pa] = da[xa]
         for db, cb in nz:
-            leg_products = [prods[da[x]][db[y]] for _, x, y in shared]
-            if not all(leg_products):
+            leg1 = row1[db[y1]]
+            if not leg1:
                 continue  # a shared slot multiplies to zero
-            base = [0, 0, 0, 0]
-            for pos, x in only_a:
-                base[pos] = da[x]
-            for pos, y in only_b:
-                base[pos] = db[y]
-            partial = [(base, F.mul(ca, cb))]
-            for (pos, _, _), leg in zip(shared, leg_products):
-                nxt = []
-                for digs, c in partial:
-                    for k, ck in leg:
-                        nd = list(digs)
-                        nd[pos] = k
-                        nxt.append((nd, F.mul(c, ck)))
-                partial = nxt
-            terms.extend(partial)
-    return TensorElement.from_terms(A, 4, terms)
+            leg2 = row2[db[y2]]
+            if not leg2:
+                continue
+            key[pb] = db[yb]
+            c = ca * cb
+            for k1, c1 in leg1:
+                key[p1] = k1
+                c1 *= c
+                for k2, c2 in leg2:
+                    key[p2] = k2
+                    t = tuple(key)
+                    out[t] = get(t, 0) + c1 * c2
+    return TensorElement._of(A, 4, _reduced(out, mod), (R.den * scale) ** 2)
 
 
 def verify_rmatrix(A: Algebra, R: TensorElement) -> CheckReport:
@@ -337,14 +341,15 @@ def tensor_rmatrix(
     if A.field != B.field:
         raise FieldMismatch(f"{A.field!r} vs {B.field!r}")
     prod = build_tensor_product(A, B)
-    F = prod.field
+    r, s = cert_a.r, cert_b.r
     nB = B.dim
-    terms = []
-    for da, ca in cert_a.r.coeffs.items():
-        for db, cb in cert_b.r.coeffs.items():
-            digits = tuple(x * nB + y for x, y in zip(da, db))
-            terms.append((digits, F.mul(ca, cb)))
-    t = TensorElement.from_terms(prod, 3, terms)
+    # distinct digit pairs give distinct monomials, so nothing accumulates
+    ints = {
+        tuple(x * nB + y for x, y in zip(da, db)): ca * cb
+        for da, ca in r.ints.items()
+        for db, cb in s.ints.items()
+    }
+    t = TensorElement._of(prod, 3, _reduced(ints, prod.field.characteristic), r.den * s.den)
     return _certify(prod, t, None)
 
 

@@ -1,14 +1,24 @@
 """Calculus of elements of n-fold tensor powers of an algebra.
 
 A TensorElement of arity m over an algebra of dimension n is a sparse map
-from basis monomials to coefficients: the key (i1, .., im) stands for
-e_{i1} (x) ... (x) e_{im} and only nonzero coefficients are stored, so
-two elements are equal exactly when their maps are.  Serialization and
-failure witnesses walk the monomials in sorted digit order (leg 1 most
+from basis monomials to integer coefficients over one positive common
+denominator: the key (i1, .., im) stands for e_{i1} (x) ... (x) e_{im},
+its coefficient being the stored integer divided by the denominator, and
+only nonzero integers are stored.  The gcd of all entries and the
+denominator is 1 (over GF(p) the entries are residues over 1), so two
+elements are equal exactly when their denominators and maps are.  Every
+operation runs on the integers and the integer structure constants of
+the algebra, reducing each output once; field values appear only where
+an element is built from them or read back through `coeffs`,
+`coefficient`, `iter_nonzero` and `to_json`.  Serialization and failure
+witnesses walk the monomials in sorted digit order (leg 1 most
 significant).  `tensor_mul` joins the two factors leg by leg and never
 expands a pair of monomials whose product vanishes on some leg.
 """
 from __future__ import annotations
+
+from fractions import Fraction
+from math import gcd, lcm
 
 from .algebra import Algebra, AlgebraElement
 from .errors import (
@@ -20,21 +30,7 @@ from .errors import (
     ParseError,
     ShapeMismatch,
 )
-
-
-def _accumulate(out: dict, key, c, add) -> None:
-    prev = out.get(key)
-    out[key] = c if prev is None else add(prev, c)
-
-
-def _pruned(out: dict) -> dict:
-    return {key: c for key, c in out.items() if c}
-
-
-def _marked(terms, one) -> tuple:
-    """(k, c) terms with a coefficient equal to one replaced by None, so
-    that hot loops skip the multiplication by it."""
-    return tuple((k, None if c == one else c) for k, c in terms)
+from .linalg import _reduced, _to_ints
 
 
 def _is_int(x) -> bool:
@@ -49,22 +45,53 @@ def _check_digits(n: int, arity: int, digits: tuple) -> None:
             raise ShapeMismatch(f"basis index {d} out of range")
 
 
-class TensorElement:
-    """Element of the m-fold tensor power of a fixed algebra.
+def _int_vector(coords) -> tuple[dict, int]:
+    """({index: integer}, denominator) of a coordinate list, zeros dropped."""
+    (ints,), den = _to_ints(({i: c for i, c in enumerate(coords) if c},))
+    return ints, den
 
-    `coeffs` maps digit tuples of length `arity` to nonzero canonical
-    scalars.  The constructor takes the map over as it is; `from_terms`
-    and `from_json` check the digits.
+
+def _unit_power(algebra: Algebra, count: int) -> tuple[dict, int]:
+    """1 (x) ... (x) 1 with `count` legs as unreduced integers over their
+    denominator; distinct index tuples, so nothing accumulates."""
+    unit, uden = _int_vector(algebra.unit)
+    fills = {(): 1}
+    for _ in range(count):
+        fills = {combo + (i,): c * u for combo, c in fills.items() for i, u in unit.items()}
+    return fills, uden ** count
+
+
+class TensorElement:
+    """Element of the m-fold tensor power of a fixed algebra, stored in
+    the canonical form of the module docstring: `ints` over `den`.
+
+    The constructor takes a map of field values and converts it once, as
+    it is; `from_terms` and `from_json` check the digits.
     """
 
-    __slots__ = ("algebra", "arity", "coeffs")
+    __slots__ = ("algebra", "arity", "ints", "den")
 
     def __init__(self, algebra: Algebra, arity: int, coeffs: dict):
         if arity < 1:
             raise ShapeMismatch("arity must be >= 1")
         self.algebra = algebra
         self.arity = arity
-        self.coeffs = coeffs
+        (self.ints,), self.den = _to_ints((coeffs,))
+
+    @classmethod
+    def _of(cls, algebra: Algebra, arity: int, ints: dict, den: int = 1) -> "TensorElement":
+        """Element of the zero-free integer map `ints` over the positive
+        `den` (residues over 1 in GF(p)), taking ownership of `ints`
+        without checking its digits; the common factor of the entries
+        and `den` is divided out."""
+        if den != 1:
+            g = gcd(den, *ints.values())
+            if g != 1:
+                den //= g
+                ints = {k: v // g for k, v in ints.items()}
+        t = object.__new__(cls)
+        t.algebra, t.arity, t.ints, t.den = algebra, arity, ints, den
+        return t
 
     # -- constructors -------------------------------------------------------
 
@@ -76,17 +103,27 @@ class TensorElement:
         for digits, c in terms:
             digits = tuple(digits)
             _check_digits(algebra.dim, arity, digits)
-            _accumulate(out, digits, c, add)
-        return cls(algebra, arity, _pruned(out))
+            prev = out.get(digits)
+            out[digits] = c if prev is None else add(prev, c)
+        return cls(algebra, arity, out)
 
     # -- access -------------------------------------------------------------
+
+    @property
+    def coeffs(self) -> dict:
+        """The coefficients in field values, digits -> nonzero value (read
+        only; over GF(p) this is the stored map)."""
+        if self.algebra.field.characteristic:
+            return self.ints
+        d = self.den
+        return {k: Fraction(v, d) for k, v in self.ints.items()}
 
     def iter_nonzero(self):
         """(digits, coefficient) pairs in sorted digit order."""
         return iter(sorted(self.coeffs.items()))
 
     def nnz(self) -> int:
-        return len(self.coeffs)
+        return len(self.ints)
 
     def coefficient(self, digits):
         digits = tuple(digits)
@@ -94,7 +131,7 @@ class TensorElement:
         return self.coeffs.get(digits, self.algebra.field.zero)
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.ints
 
     # -- linear structure -------------------------------------------------------
 
@@ -105,27 +142,27 @@ class TensorElement:
 
     def __add__(self, other):
         self._check_compatible(other)
-        add = self.algebra.field.add
-        out = dict(self.coeffs)
-        for key, c in other.coeffs.items():
-            _accumulate(out, key, c, add)
-        return TensorElement(self.algebra, self.arity, _pruned(out))
+        den = lcm(self.den, other.den)
+        ka, kb = den // self.den, den // other.den
+        out = {k: ka * v for k, v in self.ints.items()}
+        get = out.get
+        for k, v in other.ints.items():
+            out[k] = get(k, 0) + kb * v
+        mod = self.algebra.field.characteristic
+        return TensorElement._of(self.algebra, self.arity, _reduced(out, mod), den)
 
     def __sub__(self, other):
         return self + (-other)
 
     def __neg__(self):
-        neg = self.algebra.field.neg
-        return TensorElement(
-            self.algebra, self.arity, {key: neg(c) for key, c in self.coeffs.items()}
-        )
+        return self.scale(-self.algebra.field.one)
 
     def scale(self, c):
-        mul = self.algebra.field.mul
-        return TensorElement(
-            self.algebra, self.arity,
-            _pruned({key: mul(c, v) for key, v in self.coeffs.items()}),
-        )
+        """c times the element, for a field value (or int) c."""
+        k = c.numerator
+        out = _reduced({key: k * v for key, v in self.ints.items()},
+                       self.algebra.field.characteristic)
+        return TensorElement._of(self.algebra, self.arity, out, self.den * c.denominator)
 
     def __eq__(self, other):
         if not isinstance(other, TensorElement):
@@ -133,7 +170,8 @@ class TensorElement:
         return (
             self.algebra.same_as(other.algebra)
             and self.arity == other.arity
-            and self.coeffs == other.coeffs
+            and self.den == other.den
+            and self.ints == other.ints
         )
 
     def __repr__(self):
@@ -151,15 +189,17 @@ class TensorElement:
         if not 1 <= leg < self.arity:
             raise LegOutOfRange(f"leg {leg} for arity {self.arity}")
         A = self.algebra
-        F = A.field
+        prods, mod, scale = A._int_products()
         out = {}
+        get = out.get
         pos = leg - 1
-        for digits, c in self.coeffs.items():
+        for digits, c in self.ints.items():
             head = digits[:pos]
             tail = digits[pos + 2:]
-            for k, ck in A.basis_products[digits[pos]][digits[pos + 1]]:
-                _accumulate(out, head + (k,) + tail, F.mul(c, ck), F.add)
-        return TensorElement(A, self.arity - 1, _pruned(out))
+            for k, ck in prods[digits[pos]][digits[pos + 1]]:
+                key = head + (k,) + tail
+                out[key] = get(key, 0) + c * ck
+        return TensorElement._of(A, self.arity - 1, _reduced(out, mod), self.den * scale)
 
     def permute_legs(self, perm) -> "TensorElement":
         """Send leg p to position perm[p-1]; `perm` is 1-based."""
@@ -171,9 +211,9 @@ class TensorElement:
         for p, q in enumerate(perm):
             source[q - 1] = p
         out = {
-            tuple(digits[p] for p in source): c for digits, c in self.coeffs.items()
+            tuple(digits[p] for p in source): c for digits, c in self.ints.items()
         }
-        return TensorElement(self.algebra, self.arity, out)
+        return TensorElement._of(self.algebra, self.arity, out, self.den)
 
     def embed_legs(self, target_arity: int, slots) -> "TensorElement":
         """Place the legs at the listed slots, the unit everywhere else."""
@@ -185,26 +225,22 @@ class TensorElement:
         if any(a >= b for a, b in zip(slots, slots[1:])):
             raise BadSlots(f"slots {slots} must be strictly increasing")
         A = self.algebra
-        F = A.field
         unit_slots = [s for s in range(1, target_arity + 1) if s not in slots]
-        unit_nz = [(i, u) for i, u in enumerate(A.unit) if u]
         # all ways to fill the unit slots with basis indices of the unit
-        fills = [((), F.one)]
-        for _ in unit_slots:
-            fills = [(combo + (i,), F.mul(c, u)) for combo, c in fills for i, u in unit_nz]
-        fills = _marked(fills, F.one)
-        # distinct (digits, fill) pairs give distinct monomials and a
-        # product of nonzero scalars is nonzero, so nothing accumulates
+        fills, fden = _unit_power(A, len(unit_slots))
+        # distinct (digits, fill) pairs give distinct monomials, so nothing
+        # accumulates
         out = {}
         new = [0] * target_arity
-        for digits, c in self.coeffs.items():
+        for digits, c in self.ints.items():
             for d, s in zip(digits, slots):
                 new[s - 1] = d
-            for combo, cu in fills:
+            for combo, cu in fills.items():
                 for d, s in zip(combo, unit_slots):
                     new[s - 1] = d
-                out[tuple(new)] = c if cu is None else F.mul(c, cu)
-        return TensorElement(A, target_arity, out)
+                out[tuple(new)] = c * cu
+        mod = A.field.characteristic
+        return TensorElement._of(A, target_arity, _reduced(out, mod), self.den * fden)
 
     def act_leg(self, leg: int, a: AlgebraElement, side: str) -> "TensorElement":
         """Multiply one leg by an algebra element on the chosen side."""
@@ -214,25 +250,26 @@ class TensorElement:
             raise ValueError(f"side must be 'left' or 'right', got {side!r}")
         A = self.algebra
         A.check_same(a.algebra)
-        F = A.field
-        table = A.basis_products
-        nz = [(i, ai) for i, ai in enumerate(a.coords) if ai]
+        prods, mod, scale = A._int_products()
+        coords, aden = _int_vector(a.coords)
         # column d of the action: a * e_d (left) or e_d * a (right)
         action = []
         for d in range(A.dim):
             col = {}
-            for i, ai in nz:
-                for k, ck in (table[i][d] if side == "left" else table[d][i]):
-                    _accumulate(col, k, F.mul(ai, ck), F.add)
-            action.append(_marked(_pruned(col).items(), F.one))
+            for i, ai in coords.items():
+                for k, ck in (prods[i][d] if side == "left" else prods[d][i]):
+                    col[k] = col.get(k, 0) + ai * ck
+            action.append(tuple(_reduced(col, mod).items()))
         pos = leg - 1
         out = {}
-        for digits, c in self.coeffs.items():
+        get = out.get
+        for digits, c in self.ints.items():
             head = digits[:pos]
             tail = digits[pos + 1:]
             for k, v in action[digits[pos]]:
-                _accumulate(out, head + (k,) + tail, c if v is None else F.mul(c, v), F.add)
-        return TensorElement(A, self.arity, _pruned(out))
+                key = head + (k,) + tail
+                out[key] = get(key, 0) + c * v
+        return TensorElement._of(A, self.arity, _reduced(out, mod), self.den * aden * scale)
 
     # -- serialization ------------------------------------------------------------
 
@@ -282,12 +319,8 @@ def unit_tensor(algebra: Algebra, arity: int) -> TensorElement:
     """The multiplicative identity 1 (x) ... (x) 1 of the arity-fold power."""
     if arity < 1:
         raise ShapeMismatch("arity must be >= 1")
-    F = algebra.field
-    unit_nz = [(i, u) for i, u in enumerate(algebra.unit) if u]
-    terms = [((), F.one)]
-    for _ in range(arity):
-        terms = [(combo + (i,), F.mul(c, u)) for combo, c in terms for i, u in unit_nz]
-    return TensorElement.from_terms(algebra, arity, terms)
+    ints, den = _unit_power(algebra, arity)
+    return TensorElement._of(algebra, arity, _reduced(ints, algebra.field.characteristic), den)
 
 
 def tensor_mul(s: TensorElement, t: TensorElement) -> TensorElement:
@@ -301,16 +334,11 @@ def tensor_mul(s: TensorElement, t: TensorElement) -> TensorElement:
     """
     s._check_compatible(t)
     A = s.algebra
-    F = A.field
-    mul, add = F.mul, F.add
-    # products[a][b]: the terms of e_a * e_b, or None where it vanishes
-    products = [
-        [_marked(terms, F.one) if terms else None for terms in row]
-        for row in A.basis_products
-    ]
+    # products[a][b]: the integer terms of e_a * e_b, empty where it vanishes
+    products, mod, scale = A._int_products()
     last = s.arity - 1
     trie: dict = {}
-    for digits, c in t.coeffs.items():
+    for digits, c in t.ints.items():
         node = trie
         for d in digits[:last]:
             child = node.get(d)
@@ -319,23 +347,24 @@ def tensor_mul(s: TensorElement, t: TensorElement) -> TensorElement:
             node = child
         node[digits[last]] = c
     out = {}
-    for ds, cs in s.coeffs.items():
+    get = out.get
+    for ds, cs in s.ints.items():
         # (trie node, output digits so far, coefficient so far)
         level = [(trie, (), cs)]
-        for a in ds:
+        for a in ds[:last]:
             row = products[a]
             nxt = []
             for node, combo, c in level:
                 for b, child in node.items():
-                    terms = row[b]
-                    if terms is not None:
-                        for k, ck in terms:
-                            nxt.append((child, combo + (k,), c if ck is None else mul(c, ck)))
+                    for k, ck in row[b]:
+                        nxt.append((child, combo + (k,), c * ck))
             level = nxt
-            if not level:
-                break
-        for ct, combo, c in level:
-            v = mul(c, ct)
-            prev = out.get(combo)
-            out[combo] = v if prev is None else add(prev, v)
-    return TensorElement(A, s.arity, _pruned(out))
+        # on the last leg the trie leaves are the coefficients of `t`
+        row = products[ds[last]]
+        for leaves, combo, c in level:
+            for b, ct in leaves.items():
+                for k, ck in row[b]:
+                    key = combo + (k,)
+                    out[key] = get(key, 0) + c * ck * ct
+    den = s.den * t.den * scale ** s.arity
+    return TensorElement._of(A, s.arity, _reduced(out, mod), den)

@@ -8,6 +8,7 @@ from rbraid import (
     GF,
     QQ,
     Matrix,
+    TensorElement,
     adjunction_unit,
     alpha_map,
     audit_braiding,
@@ -33,6 +34,13 @@ from rbraid import (
 from rbraid.bimodules import induced_map, is_bimodule_map, swap_matrix
 from rbraid.errors import NotWellDefined
 from conftest import upper_triangular_2x2
+
+
+def with_coefficient(r, digits, value):
+    """A copy of `r` whose coefficient at `digits` is set to `value`."""
+    coeffs = dict(r.coeffs)
+    coeffs[digits] = value
+    return TensorElement.from_terms(r.algebra, r.arity, coeffs.items())
 
 
 @pytest.fixture(scope="module")
@@ -174,8 +182,8 @@ def test_switch_braiding_on_scalars():
 
 
 def test_braiding_not_well_defined_for_corrupted_tensor(m2):
-    r = matrix_closed_form(2, QQ)
-    r.coeffs[(0, 0, 1)] = Fraction(1)  # perturb one coefficient
+    # perturb one coefficient
+    r = with_coefficient(matrix_closed_form(2, QQ), (0, 0, 1), Fraction(1))
     bad_cert = certify(m2, r)
     assert not bad_cert.valid
     reg = regular_bimodule(m2)
@@ -268,8 +276,7 @@ def test_audit_mixed_triple(m2, cert):
 
 
 def test_audit_catches_corrupted_tensor(m2):
-    r = matrix_closed_form(2, QQ)
-    r.coeffs[(0, 1, 2)] = Fraction(5)
+    r = with_coefficient(matrix_closed_form(2, QQ), (0, 1, 2), Fraction(5))
     bad_cert = certify(m2, r)
     reg = regular_bimodule(m2)
     report = audit_braiding(bad_cert, reg, reg, reg)

@@ -11,6 +11,7 @@ from rbraid import (
     is_epi_from_base,
     opposite,
 )
+from rbraid.linalg import Matrix
 from conftest import upper_triangular_2x2
 
 
@@ -18,6 +19,37 @@ def test_f_map_scalar_algebra():
     m = f_map(build_matrix_algebra(1, QQ))
     assert m.nrows == m.ncols == 1
     assert m.rows == [{0: QQ.one}]
+
+
+def dense_f_map(A):
+    """Reference: column (i, j) is the flattened dense matrix L_i R_j."""
+    n = A.dim
+    left = A.left_mult_matrices()
+    right = A.right_mult_matrices()
+    cols = []
+    for i in range(n):
+        for j in range(n):
+            rows = (left[i] @ right[j]).rows
+            flat = []
+            for row in rows:
+                flat.extend(row.get(c, A.field.zero) for c in range(n))
+            cols.append(flat)
+    return Matrix.from_columns(A.field, n * n, cols)
+
+
+def test_f_map_matches_dense_reference():
+    for F in (QQ, GF(5)):
+        for A in (
+            build_matrix_algebra(2, F),
+            build_matrix_algebra(3, F),
+            build_quaternion(-1, 3, F),
+            build_poly_quotient([1, 2, 0, 1], F),
+            build_direct_sum(build_matrix_algebra(2, F), build_poly_quotient([0, 0, 1], F)),
+        ):
+            assert f_map(A) == dense_f_map(A), A.label
+    # structure constants with denominators
+    A = build_quaternion("1/2", "-2/3", QQ)
+    assert f_map(A) == dense_f_map(A)
 
 
 def test_f_map_m2_bijective():

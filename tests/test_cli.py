@@ -512,6 +512,39 @@ def test_tensor_spec(tmp_path, capsys):
     assert len(report["payload"]["certificate"]["r"]["coeffs"]) == 64
 
 
+def test_internal_error_is_one_json_object(tmp_path, capsys, monkeypatch):
+    def broken(*args, **kwargs):
+        raise RuntimeError("solver exploded")
+
+    monkeypatch.setattr(cli, "solve_rmatrix", broken)
+    path = write(tmp_path, "m2.json", M2)
+    code = main(["solve", path])
+    captured = capsys.readouterr()
+    assert code == 2
+    report = json.loads(captured.out)
+    assert report == {"command": "solve", "status": "error",
+                      "error": "internal error: RuntimeError: solver exploded"}
+    assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("argv", [["bogus"], [], ["solve"], ["solve", "x.json", "--bogus"]])
+def test_usage_error_is_one_json_object(capsys, argv):
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    report = json.loads(captured.out)
+    assert report["status"] == "error"
+    assert report["error"].startswith("usage: ")
+    assert captured.err == ""
+
+
+def test_help_still_exits_zero(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    assert "solve" in capsys.readouterr().out
+
+
 def test_console_script_entry():
     proc = subprocess.run(
         [sys.executable, "-m", "rbraid.cli", "--help"],

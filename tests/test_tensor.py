@@ -2,6 +2,7 @@
 import random
 from fractions import Fraction
 from itertools import product
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -24,6 +25,7 @@ from rbraid.errors import (
     BadSlots,
     LegOutOfRange,
 )
+from rbraid.rmatrix import _literal_pair_product
 
 
 @pytest.fixture(scope="module")
@@ -285,3 +287,182 @@ def test_tensor_mul_matches_all_pairs_reference(pair):
     product = tensor_mul(s, t)
     assert product == all_pairs_product(s, t)
     assert all(product.coeffs.values())  # no stored zeros
+
+
+# -- the stored form: integers over one denominator --------------------------
+
+P61 = 2**61 - 1
+
+# Over GF(2) quaternions do not exist; over Q one algebra has structure
+# constants with denominators, so the integer constants carry a scale.
+STORAGE_ALGEBRAS = [
+    build_quaternion("1/2", "-2/3", QQ),
+    build_poly_quotient([1, 2, 0, 1], QQ),
+    build_direct_sum(build_matrix_algebra(2, QQ), build_poly_quotient([0, 0, 1], QQ)),
+    build_matrix_algebra(2, GF(2)),
+    build_poly_quotient([1, 1, 0, 1], GF(2)),
+    build_quaternion(3, 5, GF(7)),
+    build_matrix_algebra(2, GF(7)),
+    build_quaternion(-1, 3, GF(P61)),
+    build_poly_quotient([2, 0, 1], GF(P61)),
+]
+
+
+def scalars(F):
+    if F.characteristic:
+        return st.integers(0, F.characteristic - 1)
+    return st.builds(Fraction, st.integers(-6, 6), st.integers(1, 6))
+
+
+def elements(draw, A, arity, max_size=8):
+    monomials = st.tuples(*[st.integers(0, A.dim - 1)] * arity)
+    terms = draw(st.lists(st.tuples(monomials, scalars(A.field)), max_size=max_size))
+    return TensorElement.from_terms(A, arity, terms)
+
+
+def assert_canonical(t):
+    p = t.algebra.field.characteristic
+    assert t.den > 0
+    assert all(t.ints.values())  # no stored zeros
+    if p:
+        assert t.den == 1
+        assert all(0 < v < p for v in t.ints.values())
+    else:
+        assert gcd(t.den, *t.ints.values()) == 1
+
+
+def reference(F, terms) -> dict:
+    """Field-value map of (digits, value) terms, summed with F.add."""
+    out = {}
+    for digits, c in terms:
+        out[digits] = F.add(out.get(digits, F.zero), c)
+    return {k: c for k, c in out.items() if c != F.zero}
+
+
+def expand(F, base, legs):
+    """(digits, value) terms of base times the product of the legs, each
+    leg a (position, [(index, value)]) pair filled into a copy of base."""
+    digits, c = base
+    partial = [(list(digits), c)]
+    for pos, terms in legs:
+        partial = [(d[:pos] + [k] + d[pos + 1:], F.mul(v, ck))
+                   for d, v in partial for k, ck in terms]
+    return [(tuple(d), v) for d, v in partial]
+
+
+def checked(t, expected):
+    assert_canonical(t)
+    assert t.coeffs == expected
+    return t
+
+
+@st.composite
+def storage_cases(draw):
+    A = draw(st.sampled_from(STORAGE_ALGEBRAS))
+    arity = draw(st.integers(1, 3))
+    return A, arity, elements(draw, A, arity), elements(draw, A, arity), draw(scalars(A.field))
+
+
+@settings(max_examples=150, deadline=None)
+@given(storage_cases())
+def test_stored_form_linear_operations(case):
+    A, arity, s, t, c = case
+    F = A.field
+    sv, tv = s.coeffs, t.coeffs
+    checked(s, s.coeffs)
+    checked(TensorElement(A, arity, dict(sv)), sv)
+    checked(s + t, reference(F, list(sv.items()) + list(tv.items())))
+    checked(s - t, reference(F, list(sv.items()) + [(k, F.neg(v)) for k, v in tv.items()]))
+    checked(-s, reference(F, [(k, F.neg(v)) for k, v in sv.items()]))
+    checked(s.scale(c), reference(F, [(k, F.mul(c, v)) for k, v in sv.items()]))
+    assert (s - s).is_zero() and (s - s).den == 1
+    assert s + t == t + s
+
+
+@settings(max_examples=150, deadline=None)
+@given(storage_cases(), st.data())
+def test_stored_form_leg_operations(case, data):
+    A, arity, s, t, c = case
+    F = A.field
+    prods = A.basis_products
+    sv = s.coeffs
+    coords = data.draw(st.lists(scalars(F), min_size=A.dim, max_size=A.dim))
+    a = A.element(coords)
+    leg = data.draw(st.integers(1, arity))
+    side = data.draw(st.sampled_from(["left", "right"]))
+    terms = []
+    for digits, v in sv.items():
+        x = digits[leg - 1]
+        for i, ai in enumerate(coords):
+            if ai != F.zero:
+                leg_terms = prods[i][x] if side == "left" else prods[x][i]
+                terms += expand(F, (digits, F.mul(v, ai)), [(leg - 1, leg_terms)])
+    checked(s.act_leg(leg, a, side), reference(F, terms))
+
+    if arity > 1:
+        pos = data.draw(st.integers(1, arity - 1)) - 1
+        terms = [((d[:pos] + (k,) + d[pos + 2:]), F.mul(v, ck))
+                 for d, v in sv.items() for k, ck in prods[d[pos]][d[pos + 1]]]
+        checked(s.contract_legs(pos + 1), reference(F, terms))
+
+    perm = tuple(data.draw(st.permutations(range(1, arity + 1))))
+    moved = {}
+    for digits, v in sv.items():
+        new = [0] * arity
+        for p, q in enumerate(perm):
+            new[q - 1] = digits[p]
+        moved[tuple(new)] = v
+    checked(s.permute_legs(perm), moved)
+
+    target = data.draw(st.integers(arity, 4))
+    slots = tuple(sorted(data.draw(st.permutations(range(1, target + 1)))[:arity]))
+    unit_terms = [(i, u) for i, u in enumerate(A.unit) if u != F.zero]
+    terms = []
+    for digits, v in sv.items():
+        base = [0] * target
+        for d, slot in zip(digits, slots):
+            base[slot - 1] = d
+        free = [(slot - 1, unit_terms) for slot in range(1, target + 1) if slot not in slots]
+        terms += expand(F, (base, v), free)
+    checked(s.embed_legs(target, slots), reference(F, terms))
+    checked(unit_tensor(A, arity), reference(F, expand(F, ([0] * arity, F.one),
+                                                        [(p, unit_terms) for p in range(arity)])))
+
+
+@settings(max_examples=150, deadline=None)
+@given(storage_cases())
+def test_stored_form_tensor_mul(case):
+    A, arity, s, t, c = case
+    F = A.field
+    terms = []
+    for ds, cs in s.coeffs.items():
+        for dt, ct in t.coeffs.items():
+            legs = [(p, A.basis_products[a][b]) for p, (a, b) in enumerate(zip(ds, dt))]
+            terms += expand(F, ([0] * arity, F.mul(cs, ct)), legs)
+    checked(tensor_mul(s, t), reference(F, terms))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_literal_pair_product_matches_embedded_product(data):
+    # on arbitrary arity-3 elements, not only on R-matrices
+    A = data.draw(st.sampled_from(STORAGE_ALGEBRAS))
+    R = elements(data.draw, A, 3, max_size=10)
+    F = A.field
+    for slots_a, slots_b in (((1, 2, 3), (1, 3, 4)), ((1, 2, 4), (2, 3, 4))):
+        terms = []
+        for da, ca in R.coeffs.items():
+            for db, cb in R.coeffs.items():
+                base = [0] * 4
+                legs = []
+                for s in range(1, 5):
+                    if s in slots_a and s in slots_b:
+                        legs.append((s - 1, A.basis_products[da[slots_a.index(s)]][
+                            db[slots_b.index(s)]]))
+                    elif s in slots_a:
+                        base[s - 1] = da[slots_a.index(s)]
+                    else:
+                        base[s - 1] = db[slots_b.index(s)]
+                terms += expand(F, (base, F.mul(ca, cb)), legs)
+        literal = checked(_literal_pair_product(R, slots_a, slots_b), reference(F, terms))
+        assert literal == tensor_mul(R.embed_legs(4, slots_a), R.embed_legs(4, slots_b))
