@@ -517,20 +517,62 @@ def audit_braiding(cert: RMatrixCertificate, M: Bimodule, N: Bimodule,
     """Exact audit of one triple: both hexagon equalities, the symmetry
     condition, bijectivity and bimodule-map property of the braiding,
     associator round trips, and naturality against the canonical
-    morphisms a (x) b -> a.m.b for a small deterministic sample."""
+    morphisms a (x) b -> a.m.b for a small deterministic sample.
+
+    Each derived map (associator, braiding, whiskered braiding,
+    canonical morphism, naturality map) is built once per audit, keyed
+    by its operand objects: a triple that repeats one bimodule reuses
+    the maps its slots share.  Nothing outlives the call, and a build
+    that raises stores no map (an ill-defined braiding ends the audit
+    before the hexagons), so every check sees what a fresh build gives.
+    """
     results: list[CheckResult] = []
-    braidings: dict[tuple[int, int], QuotientMap] = {}
+    memo: dict[tuple, object] = {}
+
+    def once(key: tuple, build):
+        if key not in memo:
+            memo[key] = build()
+        return memo[key]
 
     def _braid(X: Bimodule, Y: Bimodule, tag: str):
-        key = (id(X), id(Y))
-        if key not in braidings:
+        key = ("braiding", X, Y)
+        if key not in memo:
             try:
-                braidings[key] = braiding_map(cert, X, Y)
+                memo[key] = braiding_map(cert, X, Y)
                 results.append(CheckResult(f"well_defined[{tag}]", True))
             except NotWellDefined as exc:
-                braidings[key] = None
+                # the audit returns before any later lookup of this pair
+                memo[key] = None
                 results.append(CheckResult(f"well_defined[{tag}]", False, str(exc)))
-        return braidings[key]
+        return memo[key]
+
+    def braid(X: Bimodule, Y: Bimodule) -> QuotientMap:
+        return once(("braiding", X, Y), lambda: braiding_map(cert, X, Y))
+
+    def assoc(X: Bimodule, Y: Bimodule, Z: Bimodule, inverse: bool = False) -> QuotientMap:
+        return once(("associator", X, Y, Z, inverse),
+                    lambda: associator(X, Y, Z, inverse=inverse))
+
+    def eye(X: Bimodule) -> Matrix:
+        return Matrix.identity(cert.algebra.field, X.dim)
+
+    def whisker_left(X: Bimodule, Y: Bimodule, Z: Bimodule, what: str) -> QuotientMap:
+        """X (x) c(Y,Z)."""
+        return once(("X (x) c", X, Y, Z), lambda: induced_map(
+            tensor_over_A(X, tensor_over_A(Y, Z).bimodule),
+            tensor_over_A(X, tensor_over_A(Z, Y).bimodule),
+            eye(X).kron(braid(Y, Z).matrix),
+            what=what,
+        ))
+
+    def whisker_right(X: Bimodule, Y: Bimodule, Z: Bimodule, what: str) -> QuotientMap:
+        """c(X,Y) (x) Z."""
+        return once(("c (x) Z", X, Y, Z), lambda: induced_map(
+            tensor_over_A(tensor_over_A(X, Y).bimodule, Z),
+            tensor_over_A(tensor_over_A(Y, X).bimodule, Z),
+            braid(X, Y).matrix.kron(eye(Z)),
+            what=what,
+        ))
 
     c_mn = _braid(M, N, "M,N")
     c_nm = _braid(N, M, "N,M")
@@ -538,9 +580,10 @@ def audit_braiding(cert: RMatrixCertificate, M: Bimodule, N: Bimodule,
     c_np = _braid(N, P, "N,P")
 
     if c_mn is not None:
+        bijective = c_mn.is_bijective()
         results.append(
-            CheckResult("braiding_bijective", c_mn.is_bijective(),
-                        None if c_mn.is_bijective() else "c(M,N) is singular")
+            CheckResult("braiding_bijective", bijective,
+                        None if bijective else "c(M,N) is singular")
         )
         qmn = tensor_over_A(M, N)
         qnm = tensor_over_A(N, M)
@@ -564,36 +607,22 @@ def audit_braiding(cert: RMatrixCertificate, M: Bimodule, N: Bimodule,
     qmn = tensor_over_A(M, N)
     qnp = tensor_over_A(N, P)
 
-    a1 = associator(M, N, P)
-    a1_inv = associator(M, N, P, inverse=True)
+    a1 = assoc(M, N, P)
+    a1_inv = assoc(M, N, P, inverse=True)
     round1 = (a1_inv @ a1).is_identity() and (a1 @ a1_inv).is_identity()
     results.append(
         CheckResult("associator_roundtrip", round1,
                     None if round1 else "associator is not invertible")
     )
 
-    eye_m = Matrix.identity(cert.algebra.field, M.dim)
-    eye_n = Matrix.identity(cert.algebra.field, N.dim)
-    eye_p = Matrix.identity(cert.algebra.field, P.dim)
-
     try:
         # c on (M(x)N, P), compared with braiding M and N past P one at a time.
-        lhs1 = braiding_map(cert, qmn.bimodule, P)
-        step_inner = induced_map(
-            tensor_over_A(M, qnp.bimodule),
-            tensor_over_A(M, tensor_over_A(P, N).bimodule),
-            eye_m.kron(c_np.matrix),
-            what="M (x) c(N,P)",
-        )
+        lhs1 = braid(qmn.bimodule, P)
+        step_inner = whisker_left(M, N, P, "M (x) c(N,P)")
         rhs1 = (
-            associator(P, M, N)
-            @ induced_map(
-                tensor_over_A(tensor_over_A(M, P).bimodule, N),
-                tensor_over_A(tensor_over_A(P, M).bimodule, N),
-                c_mp.matrix.kron(eye_n),
-                what="c(M,P) (x) N",
-            )
-            @ associator(M, P, N, inverse=True)
+            assoc(P, M, N)
+            @ whisker_right(M, P, N, "c(M,P) (x) N")
+            @ assoc(M, P, N, inverse=True)
             @ step_inner
             @ a1
         )
@@ -607,22 +636,12 @@ def audit_braiding(cert: RMatrixCertificate, M: Bimodule, N: Bimodule,
 
     try:
         # c on (M, N(x)P), compared with braiding M past N and P one at a time.
-        lhs2 = braiding_map(cert, M, qnp.bimodule)
+        lhs2 = braid(M, qnp.bimodule)
         rhs2 = (
-            associator(N, P, M, inverse=True)
-            @ induced_map(
-                tensor_over_A(N, tensor_over_A(M, P).bimodule),
-                tensor_over_A(N, tensor_over_A(P, M).bimodule),
-                eye_n.kron(c_mp.matrix),
-                what="N (x) c(M,P)",
-            )
-            @ associator(N, M, P)
-            @ induced_map(
-                tensor_over_A(qmn.bimodule, P),
-                tensor_over_A(tensor_over_A(N, M).bimodule, P),
-                c_mn.matrix.kron(eye_p),
-                what="c(M,N) (x) P",
-            )
+            assoc(N, P, M, inverse=True)
+            @ whisker_left(N, M, P, "N (x) c(M,P)")
+            @ assoc(N, M, P)
+            @ whisker_right(M, N, P, "c(M,N) (x) P")
             @ a1_inv
         )
         ok = lhs2 == rhs2
@@ -636,17 +655,22 @@ def audit_braiding(cert: RMatrixCertificate, M: Bimodule, N: Bimodule,
     # Naturality against the canonical morphisms of the square bimodule.
     try:
         a2 = square_bimodule(cert.algebra)
-        c_square = braiding_map(cert, a2, a2)
+        c_square = braid(a2, a2)
         q_a2 = tensor_over_A(a2, a2)
+
+        def morphism(X: Bimodule, x: list) -> Matrix:
+            return once(("canonical", X, tuple(x)), lambda: canonical_morphism(X, x))
+
+        def product(X: Bimodule, x: list, Y: Bimodule, y: list, what: str) -> QuotientMap:
+            """f_x (x) f_y from the square of the square bimodule to X (x) Y."""
+            return once(("f (x) f", X, tuple(x), Y, tuple(y)), lambda: induced_map(
+                q_a2, tensor_over_A(X, Y), morphism(X, x).kron(morphism(Y, y)), what=what))
+
         ok, witness = True, None
         for mi, mvec in enumerate(_naturality_samples(M)):
-            f_m = canonical_morphism(M, mvec)
             for ni, nvec in enumerate(_naturality_samples(N)):
-                g_n = canonical_morphism(N, nvec)
-                fg = induced_map(q_a2, tensor_over_A(M, N), f_m.kron(g_n),
-                                 what="f_m (x) g_n")
-                gf = induced_map(q_a2, tensor_over_A(N, M), g_n.kron(f_m),
-                                 what="g_n (x) f_m")
+                fg = product(M, mvec, N, nvec, "f_m (x) g_n")
+                gf = product(N, nvec, M, mvec, "g_n (x) f_m")
                 lhs = gf.matrix @ c_square.matrix
                 rhs = c_mn.matrix @ fg.matrix
                 if lhs != rhs:

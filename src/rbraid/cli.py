@@ -89,8 +89,11 @@ def _expect_size(value, where: str) -> int:
 
 
 def _scalar(field: Field, value, where: str):
+    # scalars travel as strings; str() would let -1, true or null through
+    if type(value) is not str:
+        raise ParseError(f"{where}: expected a scalar string, got {value!r}")
     try:
-        return field.parse(str(value))
+        return field.parse(value)
     except (ParseError, DivisionByZero) as exc:
         raise ParseError(f"{where}: {exc}") from exc
 

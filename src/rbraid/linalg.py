@@ -505,21 +505,41 @@ def _int_matmul(a: IntRows, b: IntRows, mod: int) -> IntRows:
     return out
 
 
-def nullspace_from_echelon(ech: Echelon):
-    """Kernel basis in the canonical free-variable parametrization."""
-    F = ech.field
-    basis = {}
-    for f in ech.free_columns():
-        vec = [F.zero] * ech.pivot_limit
-        vec[f] = F.one
-        basis[f] = vec
-    rows = ech.rows
+def _nullspace_ints(ech: Echelon) -> list[tuple[dict, int]]:
+    """Kernel basis in the canonical free-variable parametrization, one
+    (zero-free integer map column -> value, denominator) pair per free
+    column f, in column order: 1 at f and -r[f]/r[p] at the pivot p of
+    each stored row r (residues over 1 in GF(p))."""
+    mod = ech._mod
+    hits: dict[int, list] = {f: [] for f in ech.free_columns()}
     for p, ridx in ech.pivots.items():
-        for f, v in rows[ridx].items():
-            vec = basis.get(f)
-            if vec is not None:
-                vec[p] = F.neg(v)
-    return list(basis.values())
+        r = ech.int_rows[ridx]
+        for f, v in r.items():
+            entries = hits.get(f)
+            if entries is not None:
+                entries.append((p, v, r[p]))
+    basis = []
+    for f, entries in hits.items():
+        den = lcm(1, *(a for _, _, a in entries))  # 1 over GF(p): pivots are one
+        ints = {f: den}
+        for p, v, a in entries:
+            w = -v * (den // a)
+            ints[p] = w % mod if mod else w
+        basis.append((ints, den))
+    return basis
+
+
+def nullspace_from_echelon(ech: Echelon):
+    """Kernel basis in the canonical free-variable parametrization, as
+    dense vectors of field values."""
+    F, mod = ech.field, ech._mod
+    basis = []
+    for ints, den in _nullspace_ints(ech):
+        vec = [F.zero] * ech.pivot_limit
+        for j, v in ints.items():
+            vec[j] = v if mod else Fraction(v, den)
+        basis.append(vec)
+    return basis
 
 
 def coordinates_in_span(field: Field, basis, targets):

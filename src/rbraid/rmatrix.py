@@ -25,6 +25,7 @@ point).  Every solved R is re-verified against the complete axiom list by
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import lcm
 
 from .algebra import (
     Algebra,
@@ -42,8 +43,8 @@ from .errors import (
     UnvalidatedAlgebra,
 )
 from .fields import Field
-from .linalg import (Matrix, _difference_echelon, _nonzero, _reduced, _to_ints,
-                     nullspace_from_echelon)
+from .linalg import (Matrix, _difference_echelon, _nonzero, _nullspace_ints, _reduced,
+                     _to_ints)
 from .tensor import TensorElement, tensor_mul, unit_tensor
 
 DEFAULT_SIZE_CAP = 20
@@ -95,13 +96,15 @@ class RMatrixCertificate:
         return out
 
 
-def pair_invariant_basis(A: Algebra):
+def pair_invariant_basis(A: Algebra) -> list[TensorElement]:
     """Basis of {w in A (x) A : a.w = w.a for all a}, acting on leg 1
-    left and leg 2 right.  Returned as dense vectors of length dim^2 in
-    the canonical nullspace parametrization."""
+    left and leg 2 right, as arity-2 tensors in the canonical nullspace
+    parametrization, read sparsely off the echelon's integer rows."""
     n = A.dim
     pairs = zip(A.left_mult_matrices(), A.right_mult_matrices())
-    return nullspace_from_echelon(_difference_echelon(A.field, n * n, pairs, q=n))
+    ech = _difference_echelon(A.field, n * n, pairs, q=n)
+    return [TensorElement._of(A, 2, {divmod(j, n): v for j, v in ints.items()}, den)
+            for ints, den in _nullspace_ints(ech)]
 
 
 def solve_rmatrix(A: Algebra, size_cap: int | None = DEFAULT_SIZE_CAP):
@@ -120,11 +123,9 @@ def solve_rmatrix(A: Algebra, size_cap: int | None = DEFAULT_SIZE_CAP):
     w_basis = pair_invariant_basis(A)
     wdim = len(w_basis)
     unknowns = n * wdim
-    w_nonzeros = [
-        [(xy, v) for xy, v in enumerate(w) if v != F.zero] for w in w_basis
-    ]
     prods, mod, pscale = A._int_products()
-    w_ints, wscale = _to_ints([dict(w) for w in w_nonzeros])
+    wscale = lcm(1, *(w.den for w in w_basis))
+    w_ints = [[(xy, v * (wscale // w.den)) for xy, v in w.ints.items()] for w in w_basis]
 
     # Affine system: unknowns x[j, t] with R = sum x[j,t] e_j (x) w_t.
     # Block 1 demands (leg1*leg2) (x) leg3 = 1 (x) 1, block 2 demands
@@ -134,8 +135,7 @@ def solve_rmatrix(A: Algebra, size_cap: int | None = DEFAULT_SIZE_CAP):
     for j in range(n):
         for t in range(wdim):
             col = j * wdim + t
-            for xy, v in w_ints[t].items():
-                x, y = divmod(xy, n)
+            for (x, y), v in w_ints[t]:
                 for k, ck in prods[j][x]:
                     row = acc[k * n + y]
                     row[col] = row.get(col, 0) + ck * v
@@ -157,15 +157,15 @@ def solve_rmatrix(A: Algebra, size_cap: int | None = DEFAULT_SIZE_CAP):
         raise NonUniqueSolution(
             f"{A.label}: affine solution set has dimension {solution.dimension}"
         )
-    terms = []
-    for j in range(n):
-        for t in range(wdim):
-            x_jt = solution.particular[j * wdim + t]
-            if x_jt == F.zero:
-                continue
-            for xy, v in w_nonzeros[t]:
-                terms.append(((j,) + divmod(xy, n), F.mul(x_jt, v)))
-    r = TensorElement.from_terms(A, 3, terms)
+    # R = sum x[j,t] e_j (x) w_t on integers over xden * wscale
+    (x_ints,), xden = _to_ints((dict(enumerate(solution.particular)),))
+    r_ints: dict = {}
+    for col, xv in x_ints.items():
+        j, t = divmod(col, wdim)
+        for (x, y), v in w_ints[t]:
+            key = (j, x, y)
+            r_ints[key] = r_ints.get(key, 0) + xv * v
+    r = TensorElement._of(A, 3, _reduced(r_ints, mod), xden * wscale)
     info = SolverInfo(w_dim=wdim, unknowns=unknowns, solution_dim=0)
     return _certify(A, r, info)
 

@@ -7,6 +7,7 @@ import pytest
 from rbraid import (
     GF,
     QQ,
+    Bimodule,
     Matrix,
     TensorElement,
     adjunction_unit,
@@ -24,6 +25,7 @@ from rbraid import (
     invariants,
     matrix_closed_form,
     monoidal_F_audit,
+    quaternion_closed_form,
     regular_bimodule,
     solve_rmatrix,
     square_bimodule,
@@ -31,6 +33,7 @@ from rbraid import (
     unit_tensor,
     zeta_map,
 )
+from rbraid import bimodules
 from rbraid.bimodules import induced_map, is_bimodule_map, swap_matrix
 from rbraid.errors import NotWellDefined
 from conftest import upper_triangular_2x2
@@ -275,24 +278,172 @@ def test_audit_mixed_triple(m2, cert):
     assert report.passed, report.failures
 
 
+def corrupted_cert(A, closed_form):
+    """The certificate of `test_audit_catches_corrupted_tensor`: one
+    coefficient of the closed form changed to 5."""
+    return certify(A, with_coefficient(closed_form, (0, 1, 2), A.field.coerce(5)))
+
+
+def scaled_cert(A, closed_form):
+    """The certificate of `test_audit_catches_scaled_tensor`: the closed
+    form times 2."""
+    return certify(A, closed_form.scale(A.field.coerce(2)))
+
+
+def entries(report):
+    """Every (name, verdict, witness) of a report, in order."""
+    return [(c.name, c.passed, c.witness) for c in report]
+
+
+ILL_DEFINED_REGULAR3 = [
+    ("well_defined[M,N]", False, "braiding does not preserve the balancing relations"),
+    ("hexagon1", False, "not evaluated: braiding ill-defined"),
+    ("hexagon2", False, "not evaluated: braiding ill-defined"),
+]
+
+SCALED_REGULAR3 = [
+    ("well_defined[M,N]", True, None),
+    ("braiding_bijective", True, None),
+    ("braiding_bimodule_map", True, None),
+    ("symmetry", False, "c(N,M)c(M,N) != id"),
+    ("associator_roundtrip", True, None),
+    ("hexagon1", False, "c(M(x)N,P) differs from the two-step braiding"),
+    ("hexagon2", False, "c(M,N(x)P) differs from the two-step braiding"),
+    ("naturality", True, None),
+]
+
+
 def test_audit_catches_corrupted_tensor(m2):
-    r = with_coefficient(matrix_closed_form(2, QQ), (0, 1, 2), Fraction(5))
-    bad_cert = certify(m2, r)
+    bad_cert = corrupted_cert(m2, matrix_closed_form(2, QQ))
     reg = regular_bimodule(m2)
     report = audit_braiding(bad_cert, reg, reg, reg)
     assert not report.passed
     assert report.failures[0].witness
+    assert entries(report) == ILL_DEFINED_REGULAR3
 
 
 def test_audit_catches_scaled_tensor(m2):
     # scaling keeps the braiding well-defined but destroys the symmetry
-    r = matrix_closed_form(2, QQ).scale(Fraction(2))
-    bad_cert = certify(m2, r)
+    bad_cert = scaled_cert(m2, matrix_closed_form(2, QQ))
     reg = regular_bimodule(m2)
     report = audit_braiding(bad_cert, reg, reg, reg)
     assert not report.passed
     names = {c.name for c in report.failures}
     assert "symmetry" in names or "hexagon1" in names
+    assert entries(report) == SCALED_REGULAR3
+
+
+def fresh_copy(M):
+    """A distinct Bimodule with the same matrices and label: an audit
+    keyed by operand objects finds nothing to share between copies."""
+    return Bimodule(M.algebra, list(M.left), list(M.right), M.label)
+
+
+AUDIT_ALGEBRAS = {
+    "M2/Q": lambda: (build_matrix_algebra(2, QQ), matrix_closed_form(2, QQ)),
+    "H(-1,-1)/GF(7)": lambda: (build_quaternion(-1, -1, GF(7)),
+                               quaternion_closed_form(-1, -1, GF(7))),
+}
+CERTS = {
+    "valid": lambda A, r: certify(A, r),
+    "corrupted": corrupted_cert,
+    "scaled": scaled_cert,
+}
+
+
+@pytest.mark.parametrize("algebra, kinds", [
+    ("M2/Q", ("regular", "regular", "regular")),
+    ("M2/Q", ("square", "square", "regular")),
+    ("H(-1,-1)/GF(7)", ("regular", "regular", "regular")),
+])
+@pytest.mark.parametrize("which", sorted(CERTS))
+def test_audit_bytes_same_with_repeated_operands(algebra, kinds, which):
+    # an audit that reuses the maps of a repeated bimodule reports exactly
+    # what it reports on distinct but equal copies, where nothing is reused
+    A, closed_form = AUDIT_ALGEBRAS[algebra]()
+    cert = CERTS[which](A, closed_form)
+    build = {"regular": regular_bimodule, "square": square_bimodule}
+    repeated = [build[k](A) for k in kinds]
+    copies = [fresh_copy(M) for M in repeated]
+    assert len({id(M) for M in copies}) == 3
+    shared = audit_braiding(cert, *repeated)
+    apart = audit_braiding(cert, *copies)
+    # the report holds one well_defined entry per distinct pair of operand
+    # objects, so the copies add an entry for each pair that repeats an
+    # earlier one; each carries the verdict and witness of that earlier one
+    kind = dict(zip("MNP", kinds))
+    first: dict = {}
+    kept = []
+    for name, passed, witness in entries(apart):
+        if name.startswith("well_defined["):
+            x, y = name[len("well_defined["):-1].split(",")
+            pair = (kind[x], kind[y])
+            if pair in first:
+                assert first[pair] == (passed, witness), name
+                continue
+            first[pair] = (passed, witness)
+        kept.append((name, passed, witness))
+    assert entries(shared) == kept
+    assert list(shared.to_json().items()) == [
+        (name, True if passed else {"passed": False, "witness": witness})
+        for name, passed, witness in kept]
+    assert shared.passed == apart.passed == (which == "valid")
+    if kinds[0] == kinds[1] == kinds[2]:
+        expected = {"corrupted": ILL_DEFINED_REGULAR3, "scaled": SCALED_REGULAR3}
+        if which in expected:
+            assert entries(shared) == expected[which]
+
+
+def test_audit_builds_each_map_once(monkeypatch):
+    # square^3 passes one bimodule three times: every derived map is built
+    # once per distinct operands, never once per call site
+    A = build_matrix_algebra(2, QQ)
+    cert = solve_rmatrix(A)
+    sq = square_bimodule(A)
+    calls = {name: [] for name in
+             ("associator", "induced_map", "braiding_map", "canonical_morphism")}
+
+    def counting(name, key):
+        original = getattr(bimodules, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name].append(key(*args, **kwargs))
+            return original(*args, **kwargs)
+        monkeypatch.setattr(bimodules, name, wrapper)
+
+    counting("associator", lambda M, N, P, inverse=False: (id(M), id(N), id(P), inverse))
+    counting("induced_map", lambda source, target, ambient, what="map":
+             (id(source), id(target), ambient.den, repr(ambient.ints)))
+    counting("braiding_map", lambda cert, M, N: (id(M), id(N)))
+    counting("canonical_morphism", lambda M, m: (id(M), tuple(m)))
+    report = audit_braiding(cert, sq, sq, sq)
+    assert report.passed, report.failures
+    for name, keys in calls.items():
+        assert len(keys) == len(set(keys)), name
+    # 2 whiskered braidings, 4 naturality maps, and the induced map inside
+    # each of the 3 braidings
+    assert {name: len(keys) for name, keys in calls.items()} == {
+        "associator": 2, "induced_map": 9, "braiding_map": 3, "canonical_morphism": 2}
+
+
+def test_audit_failed_build_is_not_reused(monkeypatch, m2, cert):
+    # a whiskered braiding that fails to build is stored nowhere: the
+    # second hexagon builds it again and reports it under its own label
+    original = bimodules.induced_map
+
+    def refuse_whiskers(source, target, ambient, what="map"):
+        if " (x) c(" in what:
+            raise NotWellDefined(f"{what} does not preserve the balancing relations")
+        return original(source, target, ambient, what=what)
+
+    monkeypatch.setattr(bimodules, "induced_map", refuse_whiskers)
+    reg = regular_bimodule(m2)
+    report = audit_braiding(cert, reg, reg, reg)
+    assert report["hexagon1"].witness == (
+        "M (x) c(N,P) does not preserve the balancing relations")
+    assert report["hexagon2"].witness == (
+        "N (x) c(M,P) does not preserve the balancing relations")
+    assert report["naturality"].passed
 
 
 def test_monoidal_audit(m2, cert):

@@ -363,6 +363,31 @@ def test_input_errors_name_their_key(tmp_path, capsys, algebra, message):
     assert report["error"] == message
 
 
+def _with_scalar(key, value):
+    """A spec whose one scalar in `key` is the JSON value `value`."""
+    if key in ("a", "b"):
+        algebra = {"kind": "quaternion", "a": "-1", "b": "-1", key: value}
+    elif key == "modulus":
+        algebra = {"kind": "poly_quotient", "modulus": [value, "0", "1"]}
+    else:
+        algebra = {"kind": "custom", "dim": 1, "unit": ["1"], "table": [[["1"]]]}
+        if key == "unit":
+            algebra["unit"] = [value]
+        else:
+            algebra["table"] = [[[value]]]
+    return {"field": {"kind": "Q"}, "algebra": algebra}
+
+
+@pytest.mark.parametrize("key", ["a", "b", "modulus", "unit", "table"])
+@pytest.mark.parametrize("value", [-1, True, None, ["1"]], ids=["number", "true", "null", "list"])
+def test_non_string_scalar_exit_two(tmp_path, capsys, key, value):
+    # scalars travel as strings; a JSON number, boolean, null or list in
+    # a scalar slot is an input error that names its key
+    path = write(tmp_path, "bad.json", _with_scalar(key, value))
+    code, report = run(capsys, "validate", path)
+    assert code == 2 and report["status"] == "error"
+    assert report["error"] == f"algebra.{key}: expected a scalar string, got {value!r}"
+
 def test_error_message_formats(tmp_path, capsys):
     # input errors print their message alone, other errors lead with the type
     path = write(tmp_path, "m2.json", M2)

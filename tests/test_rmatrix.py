@@ -166,7 +166,8 @@ def test_w_space_dimension_m2():
     # the centralizer pair space of the 2x2 matrix algebra is spanned by
     # the four elements sum_k e_ki (x) e_jk
     A = build_matrix_algebra(2, QQ)
-    basis = pair_invariant_basis(A)
+    basis = [[w.coefficient(divmod(xy, 4)) for xy in range(16)]
+             for w in pair_invariant_basis(A)]
     assert len(basis) == 4
     n = 2
     for i in range(n):
