@@ -5,7 +5,11 @@ c[i][j][k] with e_i * e_j = sum_k c[i][j][k] e_k together with the
 coordinates of the unit.  Builders cover matrix algebras, generalized
 quaternion algebras, polynomial quotients, tensor products, opposites and
 direct sums; `validate_algebra` machine-checks associativity and the unit
-laws, which every other module assumes.
+laws, which every other module assumes.  One generating set per algebra
+(`Algebra.generators`) serves twice: associativity is checked on the
+triples whose first entry is a generator (Light's test), and every
+fixed-point space (center, invariants, the W-space, the balancing
+relations) is cut out by the generators' actions alone.
 """
 from __future__ import annotations
 
@@ -19,7 +23,8 @@ from .errors import (
     ShapeMismatch,
 )
 from .fields import Field
-from .linalg import Matrix, _difference_echelon, _to_ints, nullspace_from_echelon
+from .linalg import (Echelon, Matrix, _difference_echelon, _to_ints,
+                     nullspace_from_echelon)
 
 
 class Algebra:
@@ -52,6 +57,7 @@ class Algebra:
             for plane in self.table
         ]
         self._int_prods: tuple | None = None
+        self._generators: tuple[int, ...] | None = None
         self._left_mats: list[Matrix] | None = None
         self._right_mats: list[Matrix] | None = None
         self._validation: CheckReport | None = None
@@ -68,6 +74,52 @@ class Algebra:
                 prods = [[tuple(flat[i * n + j].items()) for j in range(n)] for i in range(n)]
             self._int_prods = prods, self.field.characteristic, scale
         return self._int_prods
+
+    def generators(self) -> tuple[int, ...]:
+        """Basis indices G, picked greedily in basis order, whose right-nested
+        products g_1(g_2(..(g_k 1))) span A (cached).
+
+        The span is the least subspace that holds the unit and is closed
+        under left multiplication by each generator; building it assumes
+        no associativity.  An index joins G when its basis element is not
+        yet in the span, so with the unit laws the span ends up full; if
+        it does not (the unit laws fail), G is every index.
+        """
+        if self._generators is None:
+            n = self.dim
+            prods, mod, _ = self._int_products()
+            ech = Echelon(self.field, n)
+            (unit,), _ = _to_ints((dict(enumerate(self.unit)),))
+            spanning = [unit] if unit and ech.insert(unit) else []
+            gens: list[int] = []
+            for i in range(n):
+                if ech.rank == n:
+                    break
+                if not ech.reduce({i: 1}):
+                    continue
+                gens.append(i)
+                queue = [_expand(v.items(), prods[i], mod) for v in spanning]
+                while queue:
+                    v = queue.pop()
+                    if v and ech.insert(v):
+                        spanning.append(v)
+                        queue.extend(_expand(v.items(), prods[g], mod) for g in gens)
+            self._generators = tuple(gens) if ech.rank == n else tuple(range(n))
+        return self._generators
+
+    def fixed_point_indices(self, lawful: bool = True):
+        """Basis indices whose actions cut out every fixed-point space: the
+        generators when the algebra passes validation and the actions obey
+        the bimodule laws (`lawful`), else every index.
+
+        With those laws the elements a whose actions fix a vector (a.m =
+        m.a) or balance a relation ((m.a) (x) n = m (x) (a.n) modulo the
+        generators' relations) form a subspace that holds 1 and is closed
+        under products, so it holds all of A.
+        """
+        if lawful and validate_algebra(self).passed:
+            return self.generators()
+        return range(self.dim)
 
     # -- identity ---------------------------------------------------------
 
@@ -215,10 +267,18 @@ class AlgebraElement:
 
 
 def validate_algebra(algebra: Algebra) -> CheckReport:
-    """Check the unit laws and associativity on all basis triples.
+    """Check the unit laws and associativity.
 
-    The report carries the first failing triple (i, j, k) with both sides
-    as the witness; results are cached on the algebra.
+    Once the unit laws pass, only the triples (g, e_j, e_k) with g among
+    the generators are checked (Light's test): the left nucleus {x :
+    (xy)z = x(yz) for all y, z} is a subspace that holds 1 and is closed
+    under products, so it is all of A when it holds the generators.  When
+    the unit laws fail, every basis triple is checked.  The report carries
+    the first failing triple (i, j, k) with both sides as the witness,
+    the same triple either way: the generators are picked in basis order,
+    so a basis element that is no generator lies in the span of products
+    of smaller generators, and the smallest failing index is a generator.
+    Results are cached on the algebra.
     """
     if algebra._validation is not None:
         return algebra._validation
@@ -245,31 +305,21 @@ def validate_algebra(algebra: Algebra) -> CheckReport:
     prods, mod, scale = algebra._int_products()
     by_right = [[prods[m][k] for m in range(n)] for k in range(n)]  # e_m * e_k by k, m
 
-    def expand(terms, products):
-        """sum_m c_m products[m] as a sparse {k: integer} map, zeros dropped;
-        over Q both sides of a triple carry scale**2."""
-        out = {}
-        get = out.get
-        for m, c in terms:
-            for k, ck in products[m]:
-                out[k] = get(k, 0) + c * ck
-        if mod:
-            return {k: w for k, v in out.items() if (w := v % mod)}
-        return {k: v for k, v in out.items() if v}
+    def first_failure(firsts):
+        """Witness of the first failing triple (i, j, k) with i in `firsts`."""
+        for i, j, k in ((i, j, k) for i in firsts for j in range(n) for k in range(n)):
+            # over Q both sides carry scale**2
+            lhs = _expand(prods[i][j], by_right[k], mod)  # (e_i e_j) e_k
+            rhs = _expand(prods[j][k], prods[i], mod)     # e_i (e_j e_k)
+            if lhs != rhs:
+                square = F.from_int(scale * scale)
+                dense = [[fmt(F.div(F.from_int(side.get(t, 0)), square)) for t in range(n)]
+                         for side in (lhs, rhs)]
+                return (f"(e_{i}e_{j})e_{k} = {dense[0]} != "
+                        f"e_{i}(e_{j}e_{k}) = {dense[1]}")
+        return None
 
-    witness = None
-    for i, j, k in ((i, j, k) for i in range(n) for j in range(n) for k in range(n)):
-        lhs = expand(prods[i][j], by_right[k])  # (e_i e_j) e_k
-        rhs = expand(prods[j][k], prods[i])     # e_i (e_j e_k)
-        if lhs != rhs:
-            square = F.from_int(scale * scale)
-            dense = [[fmt(F.div(F.from_int(side.get(t, 0)), square)) for t in range(n)]
-                     for side in (lhs, rhs)]
-            witness = (
-                f"(e_{i}e_{j})e_{k} = {dense[0]} != "
-                f"e_{i}(e_{j}e_{k}) = {dense[1]}"
-            )
-            break
+    witness = first_failure(algebra.generators() if unit_ok else range(n))
     results.append(CheckResult("associativity", witness is None, witness))
 
     report = CheckReport(results)
@@ -277,9 +327,25 @@ def validate_algebra(algebra: Algebra) -> CheckReport:
     return report
 
 
+def _expand(terms, products, mod: int) -> dict:
+    """sum_m c_m products[m] over the (m, c_m) pairs of `terms`, products[m]
+    being the integer structure constants (k, c) of one product: a sparse
+    {k: integer} map with zeros dropped, reduced with a modulus (nonzero
+    `mod`).  With products[m] = e_g e_m this is e_g times the vector."""
+    out = {}
+    get = out.get
+    for m, c in terms:
+        for k, ck in products[m]:
+            out[k] = get(k, 0) + c * ck
+    if mod:
+        return {k: w for k, v in out.items() if (w := v % mod)}
+    return {k: v for k, v in out.items() if v}
+
+
 def center(algebra: Algebra):
     """Canonical basis of {z : z e_i = e_i z for all i} (list of vectors)."""
-    pairs = zip(algebra.left_mult_matrices(), algebra.right_mult_matrices())
+    L, R = algebra.left_mult_matrices(), algebra.right_mult_matrices()
+    pairs = ((L[i], R[i]) for i in algebra.fixed_point_indices())
     return nullspace_from_echelon(_difference_echelon(algebra.field, algebra.dim, pairs))
 
 

@@ -30,9 +30,17 @@ from .rmatrix import RMatrixCertificate
 
 
 class Bimodule:
-    """Module with commuting left and right actions of a fixed algebra."""
+    """Module with commuting left and right actions of a fixed algebra.
 
-    def __init__(self, algebra: Algebra, left: list[Matrix], right: list[Matrix], label: str = ""):
+    `lawful` records that the actions are known to obey the bimodule laws
+    whenever the algebra is associative and unital: the builders below and
+    the induced quotient bimodules set it, and so does a passing
+    `check_bimodule`.  Only then do the fixed-point eliminations use the
+    algebra's generators instead of every basis element.
+    """
+
+    def __init__(self, algebra: Algebra, left: list[Matrix], right: list[Matrix],
+                 label: str = "", lawful: bool = False):
         n = algebra.dim
         if len(left) != n or len(right) != n:
             raise ShapeMismatch("need one action matrix per basis element")
@@ -41,6 +49,7 @@ class Bimodule:
         self.left = left
         self.right = right
         self.label = label
+        self.lawful = lawful
         self._invariants = None
         self._tensor_cache: dict[int, "QuotientSpace"] = {}
 
@@ -52,7 +61,8 @@ def regular_bimodule(A: Algebra) -> Bimodule:
     """A acting on itself by multiplication on both sides."""
     cache = A._bimodules
     if "regular" not in cache:
-        cache["regular"] = Bimodule(A, A.left_mult_matrices(), A.right_mult_matrices(), "regular")
+        cache["regular"] = Bimodule(A, A.left_mult_matrices(), A.right_mult_matrices(), "regular",
+                                    lawful=True)
     return cache["regular"]
 
 
@@ -63,7 +73,7 @@ def square_bimodule(A: Algebra) -> Bimodule:
         eye = Matrix.identity(A.field, A.dim)
         left = [L.kron(eye) for L in A.left_mult_matrices()]
         right = [eye.kron(R) for R in A.right_mult_matrices()]
-        cache["square"] = Bimodule(A, left, right, "square")
+        cache["square"] = Bimodule(A, left, right, "square", lawful=True)
     return cache["square"]
 
 
@@ -77,13 +87,14 @@ def free_bimodule(A: Algebra, d: int) -> Bimodule:
         eye = Matrix.identity(A.field, d)
         left = [L.kron(eye) for L in A.left_mult_matrices()]
         right = [R.kron(eye) for R in A.right_mult_matrices()]
-        cache[label] = Bimodule(A, left, right, label)
+        cache[label] = Bimodule(A, left, right, label, lawful=True)
     return cache[label]
 
 
 def check_bimodule(M: Bimodule) -> CheckReport:
     """Verify the representation, anti-representation, unit and
-    commutation laws of the two actions on all basis pairs."""
+    commutation laws of the two actions on all basis pairs; a pass marks
+    the bimodule `lawful`."""
     A = M.algebra
     F = A.field
     n = A.dim
@@ -127,13 +138,16 @@ def check_bimodule(M: Bimodule) -> CheckReport:
         if not ok:
             break
     results.append(CheckResult("actions_commute", ok, witness))
-    return CheckReport(results)
+    report = CheckReport(results)
+    M.lawful = M.lawful or report.passed
+    return report
 
 
 def invariants(M: Bimodule):
     """Canonical basis of {m : a.m = m.a for all a} (cached)."""
     if M._invariants is None:
-        ech = _difference_echelon(M.algebra.field, M.dim, zip(M.left, M.right))
+        pairs = ((M.left[i], M.right[i]) for i in M.algebra.fixed_point_indices(M.lawful))
+        ech = _difference_echelon(M.algebra.field, M.dim, pairs)
         M._invariants = nullspace_from_echelon(ech)
     return M._invariants
 
@@ -215,16 +229,18 @@ class QuotientSpace:
             P, S = self.projection, self.section
             left = [P @ M.left[i].kron(eye_n) @ S for i in range(A.dim)]
             right = [P @ eye_m.kron(N.right[i]) @ S for i in range(A.dim)]
-            self._bimodule = Bimodule(A, left, right, label=self.label)
+            self._bimodule = Bimodule(A, left, right, label=self.label,
+                                      lawful=M.lawful and N.lawful)
         return self._bimodule
 
 
 def tensor_over_A(M: Bimodule, N: Bimodule) -> QuotientSpace:
     """M (x)_A N as a quotient of the plain tensor product.
 
-    Relations are (m.a) (x) n - m (x) (a.n) over all basis triples;
-    results are cached on the left factor so repeated audits share the
-    elimination work.
+    Relations are (m.a) (x) n - m (x) (a.n) over the basis elements of
+    M and N and the indices of `Algebra.fixed_point_indices` (their span is
+    the span over all of A); results are cached on the left factor so
+    repeated audits share the elimination work.
     """
     M.algebra.check_same(N.algebra)
     cached = M._tensor_cache.get(id(N))
@@ -233,7 +249,8 @@ def tensor_over_A(M: Bimodule, N: Bimodule) -> QuotientSpace:
     A = M.algebra
     F = A.field
     dm, dn = M.dim, N.dim
-    pairs = ((M.right[i].transpose(), N.left[i].transpose()) for i in range(A.dim))
+    pairs = ((M.right[i].transpose(), N.left[i].transpose())
+             for i in A.fixed_point_indices(M.lawful and N.lawful))
     ech = _difference_echelon(F, dm * dn, pairs, q=dn)
     label = f"({M.label}(x){N.label})/A"
     q = QuotientSpace(F, dm * dn, ech, factors=(M, N), algebra=A, label=label)
@@ -423,7 +440,8 @@ def extended_invariants(M: Bimodule):
     module factor only (the target space of `alpha_map`)."""
     A = M.algebra
     eye = Matrix.identity(A.field, A.dim)
-    pairs = ((eye.kron(l), eye.kron(r)) for l, r in zip(M.left, M.right))
+    pairs = ((eye.kron(M.left[i]), eye.kron(M.right[i]))
+             for i in A.fixed_point_indices(M.lawful))
     return nullspace_from_echelon(_difference_echelon(A.field, A.dim * M.dim, pairs))
 
 
@@ -512,6 +530,11 @@ def _naturality_samples(M: Bimodule):
     return out
 
 
+def _equal_bimodules(X: Bimodule, Y: Bimodule) -> bool:
+    return X is Y or (X.algebra.same_as(Y.algebra) and X.dim == Y.dim
+                      and X.left == Y.left and X.right == Y.right)
+
+
 def audit_braiding(cert: RMatrixCertificate, M: Bimodule, N: Bimodule,
                    P: Bimodule) -> CheckReport:
     """Exact audit of one triple: both hexagon equalities, the symmetry
@@ -519,13 +542,20 @@ def audit_braiding(cert: RMatrixCertificate, M: Bimodule, N: Bimodule,
     associator round trips, and naturality against the canonical
     morphisms a (x) b -> a.m.b for a small deterministic sample.
 
-    Each derived map (associator, braiding, whiskered braiding,
-    canonical morphism, naturality map) is built once per audit, keyed
-    by its operand objects: a triple that repeats one bimodule reuses
-    the maps its slots share.  Nothing outlives the call, and a build
-    that raises stores no map (an ill-defined braiding ends the audit
-    before the hexagons), so every check sees what a fresh build gives.
+    Each operand is first replaced by the first earlier operand it
+    equals (same algebra, dim and action matrices), so equal inputs give
+    the same report whether or not they are one object.  Each derived map
+    (associator, braiding, whiskered braiding, canonical morphism,
+    naturality map) is built once per audit, keyed by its operand
+    objects: a triple that repeats one bimodule reuses the maps its slots
+    share.  Nothing outlives the call, and a build that raises stores no
+    map (an ill-defined braiding ends the audit before the hexagons), so
+    every check sees what a fresh build gives.
     """
+    operands: list[Bimodule] = []
+    for X in (M, N, P):
+        operands.append(next((Y for Y in operands if _equal_bimodules(X, Y)), X))
+    M, N, P = operands
     results: list[CheckResult] = []
     memo: dict[tuple, object] = {}
 

@@ -101,7 +101,8 @@ def pair_invariant_basis(A: Algebra) -> list[TensorElement]:
     left and leg 2 right, as arity-2 tensors in the canonical nullspace
     parametrization, read sparsely off the echelon's integer rows."""
     n = A.dim
-    pairs = zip(A.left_mult_matrices(), A.right_mult_matrices())
+    L, R = A.left_mult_matrices(), A.right_mult_matrices()
+    pairs = ((L[i], R[i]) for i in A.fixed_point_indices())
     ech = _difference_echelon(A.field, n * n, pairs, q=n)
     return [TensorElement._of(A, 2, {divmod(j, n): v for j, v in ints.items()}, den)
             for ints, den in _nullspace_ints(ech)]

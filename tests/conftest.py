@@ -1,6 +1,8 @@
 """Shared corpus builders for the test suite."""
 from __future__ import annotations
 
+import os
+
 from hypothesis import settings
 
 from rbraid import (
@@ -11,8 +13,10 @@ from rbraid import (
     build_quaternion,
 )
 
+# HYPOTHESIS_PROFILE=ci runs every property test with more examples
 settings.register_profile("rbraid", deadline=None, max_examples=60)
-settings.load_profile("rbraid")
+settings.register_profile("ci", deadline=None, max_examples=300)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "rbraid"))
 
 
 def upper_triangular_2x2(field) -> Algebra:
