@@ -272,7 +272,9 @@ class QuotientMap:
         self.matrix = matrix
 
     def __matmul__(self, other: "QuotientMap") -> "QuotientMap":
-        if other.target is not self.source and other.target.dim != self.source.dim:
+        # equal dimensions are not enough: two quotients of one dimension
+        # may use different coordinates
+        if other.target is not self.source:
             raise ShapeMismatch("composition of non-matching quotient maps")
         return QuotientMap(other.source, self.target, self.matrix @ other.matrix)
 

@@ -1,16 +1,18 @@
 """Command-line front door.
 
 Reads algebra definition files (JSON), dispatches one computation per
-process and emits a machine-readable report on standard output.  Reports
-are canonical JSON (sorted keys, exact scalar strings); the timing field
-is informational and excluded from byte-stability guarantees.
+`main` call and emits a machine-readable report on standard output.
+Reports are canonical JSON (sorted keys, exact scalar strings); the
+timing field is informational and excluded from byte-stability
+guarantees.
 
 Exit codes: 0 for success/consistent, 1 for a mathematical negative
 (no R-matrix, a failed check, an inconsistent classification), 2 for
-input errors.  A usage error (an unknown subcommand, a missing or
-unknown argument) and an internal error (any other exception, its
-message prefixed with "internal error: <Type>:") also exit 2 with one
-JSON error object on stdout; `--help` prints its text and exits 0.
+input errors, an `--out` that cannot be written among them.  A usage
+error (an unknown subcommand, a missing or unknown argument) and an
+internal error (any other exception, its message prefixed with
+"internal error: <Type>:") also exit 2 with one JSON error object on
+stdout; `--help` prints its text and exits 0.
 """
 from __future__ import annotations
 
@@ -260,8 +262,11 @@ def _emit(report: dict, args) -> None:
         indent=2 if args.pretty else None,
         separators=None if args.pretty else (",", ":"),
     ) + "\n"
-    if args.out:
-        directory = os.path.dirname(os.path.abspath(args.out))
+    if not args.out:
+        sys.stdout.write(text)
+        return
+    directory = os.path.dirname(os.path.abspath(args.out))
+    try:
         fd, tmp = tempfile.mkstemp(dir=directory, prefix=".rbraid-")
         try:
             with os.fdopen(fd, "w") as fh:
@@ -270,8 +275,8 @@ def _emit(report: dict, args) -> None:
         except BaseException:
             os.unlink(tmp)
             raise
-    else:
-        sys.stdout.write(text)
+    except OSError as exc:  # a missing directory, a directory as target, ...
+        raise ParseError(f"cannot write {args.out}: {exc.strerror or exc}") from exc
 
 
 def _report(command: str, digest: str, status: str, payload: dict,
@@ -409,47 +414,48 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _build_parser() -> argparse.ArgumentParser:
+# name: (help, handler, arguments after the common ones)
+_COMMANDS = {
+    "validate": ("check associativity and the unit laws", _cmd_validate, ()),
+    "solve": ("compute the canonical R-matrix", _cmd_solve, ()),
+    "verify": ("verify a stored R-matrix against all axioms", _cmd_verify, (
+        ("rmatrix", {"help": "tensor, certificate or solve-report JSON file"}),)),
+    "classify": ("central-simplicity oracles + solver cross-check", _cmd_classify, ()),
+    "ybe": ("build the Yang-Baxter operator and check it", _cmd_ybe, (
+        ("--bimodule", {"default": "regular",
+                        "help": f"one of {BIMODULE_CHOICES} (default: regular)"}),)),
+    "audit": ("audit the braiding on a triple of bimodules", _cmd_audit, (
+        ("--triple", {"default": "regular,regular,regular",
+                      "help": f"three of {BIMODULE_CHOICES}, comma separated"}),)),
+}
+
+
+def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The argument parser; given `command`, only that subcommand's.
+
+    `main` passes the first argument when it names a subcommand.  The
+    top-level parser takes it as the subcommand and hands every later
+    argument to that subparser, so the other five are never consulted
+    and the answer (namespace, usage error or help text) is the full
+    parser's.  Building one subparser instead of six is most of the
+    per-call argparse cost.
+    """
     parser = _Parser(
         prog="rbraid",
         description="Exact canonical R-matrices for structure-constant algebras.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p):
+    for name, (help_text, func, extra) in _COMMANDS.items():
+        if command not in (None, name):
+            continue
+        p = sub.add_parser(name, help=help_text)
         p.add_argument("file", help="algebra definition file (JSON)")
         p.add_argument("--out", help="write the report to FILE (atomically)")
         p.add_argument("--pretty", action="store_true", help="indent the JSON report")
         p.add_argument("--force", action="store_true", help="lift the size caps")
-
-    p = sub.add_parser("validate", help="check associativity and the unit laws")
-    common(p)
-    p.set_defaults(func=_cmd_validate)
-
-    p = sub.add_parser("solve", help="compute the canonical R-matrix")
-    common(p)
-    p.set_defaults(func=_cmd_solve)
-
-    p = sub.add_parser("verify", help="verify a stored R-matrix against all axioms")
-    common(p)
-    p.add_argument("rmatrix", help="tensor, certificate or solve-report JSON file")
-    p.set_defaults(func=_cmd_verify)
-
-    p = sub.add_parser("classify", help="central-simplicity oracles + solver cross-check")
-    common(p)
-    p.set_defaults(func=_cmd_classify)
-
-    p = sub.add_parser("ybe", help="build the Yang-Baxter operator and check it")
-    common(p)
-    p.add_argument("--bimodule", default="regular",
-                   help=f"one of {BIMODULE_CHOICES} (default: regular)")
-    p.set_defaults(func=_cmd_ybe)
-
-    p = sub.add_parser("audit", help="audit the braiding on a triple of bimodules")
-    common(p)
-    p.add_argument("--triple", default="regular,regular,regular",
-                   help=f"three of {BIMODULE_CHOICES}, comma separated")
-    p.set_defaults(func=_cmd_audit)
+        for flag, kwargs in extra:
+            p.add_argument(flag, **kwargs)
+        p.set_defaults(func=func)
     return parser
 
 
@@ -461,8 +467,10 @@ def _emit_error(command, message: str) -> int:
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
+    command = argv[0] if argv and argv[0] in _COMMANDS else None
     try:
-        args = _build_parser().parse_args(argv)
+        args = _build_parser(command).parse_args(argv)
     except _UsageError as exc:
         return _emit_error(None, f"usage: {exc}")
     try:

@@ -35,8 +35,14 @@ from rbraid import (
     zeta_map,
 )
 from rbraid import bimodules
-from rbraid.bimodules import induced_map, is_bimodule_map, swap_matrix
-from rbraid.errors import NotWellDefined
+from rbraid.bimodules import (
+    QuotientMap,
+    QuotientSpace,
+    induced_map,
+    is_bimodule_map,
+    swap_matrix,
+)
+from rbraid.errors import NotWellDefined, ShapeMismatch
 from conftest import upper_triangular_2x2
 
 
@@ -263,6 +269,22 @@ def test_induced_map_rejects_non_map(m2):
     q = tensor_over_A(reg, reg)
     with pytest.raises(NotWellDefined):
         induced_map(q, q, swap_matrix(QQ, 4, 4), what="naive switch")
+
+
+def test_composition_needs_the_same_middle_space(m2):
+    # A (x)_A A of M2 and a plain 4-space have one dimension but
+    # different coordinates, so composing through them must fail
+    q = tensor_over_A(regular_bimodule(m2), regular_bimodule(m2))
+    plain = QuotientSpace.full(QQ, 4)
+    eye = Matrix.identity(QQ, 4)
+    into_plain = QuotientMap(plain, plain, eye)
+    out_of_q = QuotientMap(q, plain, eye)
+    assert q.dim == plain.dim == 4
+    with pytest.raises(ShapeMismatch):
+        out_of_q @ into_plain
+    composed = into_plain @ out_of_q
+    assert composed.source is q and composed.target is plain
+    assert composed.is_identity()
 
 
 def test_audit_regular_triple(m2, cert):

@@ -1,14 +1,17 @@
 """Command-line interface: formats, exit codes, determinism."""
 import contextlib
+import gc
 import io
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
 
-from rbraid import cli
+from rbraid import Algebra, Bimodule, QuotientSpace, RMatrixCertificate, cli
 from rbraid.checks import CheckReport
 from rbraid.cli import main
 
@@ -443,6 +446,22 @@ def test_out_file_atomic(tmp_path, capsys):
     assert not leftovers
 
 
+@pytest.mark.parametrize("target", ["missing-dir/r.json", "a-dir"])
+def test_unwritable_out_is_an_input_error(tmp_path, capsys, target):
+    path = write(tmp_path, "m2.json", M2)
+    (tmp_path / "a-dir").mkdir()
+    out = str(tmp_path / target)
+    code = main(["solve", path, "--out", out])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out.count("\n") == 1
+    report = json.loads(captured.out)
+    assert report["status"] == "error"
+    assert report["error"].startswith(f"cannot write {out}: ")
+    assert not report["error"].startswith("internal error")
+    assert not list(tmp_path.rglob(".rbraid-*"))
+
+
 def test_bad_json_exit_two(tmp_path, capsys):
     path = tmp_path / "broken.json"
     path.write_text("{not json")
@@ -577,6 +596,120 @@ def test_console_script_entry():
     )
     assert proc.returncode == 0
     assert "solve" in proc.stdout
+
+
+# -- one subparser per call ---------------------------------------------------
+
+
+def without_timing(text: str) -> dict:
+    report = json.loads(text)
+    report.pop("timing_ms")
+    return report
+
+
+def python(*args) -> subprocess.CompletedProcess:
+    """A new interpreter that imports this copy of rbraid."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=path))
+
+
+def fresh_run(*argv) -> tuple[int, str]:
+    """Exit code and stdout of `rbraid argv` in a new interpreter."""
+    proc = python("-m", "rbraid.cli", *argv)
+    return proc.returncode, proc.stdout
+
+
+def live_results() -> int:
+    """Live algebras, bimodules, quotients, certificates and check reports."""
+    gc.collect()
+    kinds = (Algebra, Bimodule, QuotientSpace, RMatrixCertificate, CheckReport)
+    return sum(isinstance(obj, kinds) for obj in gc.get_objects())
+
+
+def test_calls_in_one_process_carry_no_state(tmp_path, capsys, monkeypatch):
+    path = write(tmp_path, "m2.json", M2)
+    out = str(tmp_path / "r.json")
+    built = []
+    build = cli._build_parser
+    monkeypatch.setattr(cli, "_build_parser", lambda command: built.append(command)
+                        or build(command))
+    live = live_results()
+
+    def call(*argv):
+        code = main(list(argv))
+        return code, capsys.readouterr().out
+
+    # --pretty and --out hold for their own call only
+    assert call("solve", path, "--pretty", "--out", out) == (0, "")
+    pretty = Path(out).read_text()
+    assert pretty.startswith("{\n")
+    code, text = call("solve", "x.json", "--bogus")
+    assert code == 2 and json.loads(text)["error"] == "usage: unrecognized arguments: --bogus"
+    code, solved = call("solve", path)
+    assert code == 0 and solved.count("\n") == 1 and not solved.startswith("{\n")
+    assert Path(out).read_text() == pretty
+    assert without_timing(solved) == without_timing(pretty)
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    assert "audit" in capsys.readouterr().out
+    code, ybe = call("ybe", path, "--bimodule", "free:2")
+    assert code == 0
+    code, audit = call("audit", path, "--triple", "regular,square,free:2")
+    assert code == 0
+
+    # each call builds only the subparser it names; --help needs them all
+    assert built == ["solve", "solve", "solve", None, "ybe", "audit"]
+
+    # each report matches a fresh process, and no result outlives its call
+    fresh_out = str(tmp_path / "fresh.json")
+    assert fresh_run("solve", path, "--pretty", "--out", fresh_out) == (0, "")
+    assert without_timing(Path(fresh_out).read_text()) == without_timing(pretty)
+    for argv, text in [(["solve", path], solved),
+                       (["ybe", path, "--bimodule", "free:2"], ybe),
+                       (["audit", path, "--triple", "regular,square,free:2"], audit)]:
+        code, fresh = fresh_run(*argv)
+        assert code == 0
+        assert without_timing(fresh) == without_timing(text)
+    assert live_results() == live
+
+
+def parse_outcome(parser, argv):
+    """The namespace, usage error or help text that `parser` gives `argv`."""
+    text = io.StringIO()
+    try:
+        with contextlib.redirect_stdout(text):
+            return "args", vars(parser.parse_args(argv))
+    except cli._UsageError as exc:
+        return "usage", str(exc)
+    except SystemExit as exc:
+        return "exit", exc.code, text.getvalue()
+
+
+@given(st.sampled_from(sorted(cli._COMMANDS)), st.lists(st.sampled_from([
+    "a.json", "b.json", "--out", "--out=o.json", "--pretty", "--pre", "--force",
+    "--bimodule", "free:2", "--triple", "square,regular,regular", "-h", "--help",
+    "--bogus", "--", "-", "solve", "audit"]), max_size=5))
+def test_one_subparser_answers_as_the_full_parser(command, rest):
+    argv = [command, *rest]
+    assert parse_outcome(cli._build_parser(command), argv) == \
+        parse_outcome(cli._build_parser(), argv)
+
+
+def test_import_builds_no_parser():
+    proc = python("-c", "import argparse\n"
+                        "built = []\n"
+                        "init = argparse.ArgumentParser.__init__\n"
+                        "def counted(self, *a, **k):\n"
+                        "    built.append(1)\n"
+                        "    init(self, *a, **k)\n"
+                        "argparse.ArgumentParser.__init__ = counted\n"
+                        "import rbraid.cli\n"
+                        "print(len(built))")
+    assert proc.returncode == 0
+    assert proc.stdout.split() == ["0"]
 
 
 # -- the CLI contract on arbitrary input ---------------------------------------
