@@ -394,7 +394,9 @@ class Matrix:
     def is_bijective(self) -> bool:
         if self.nrows != self.ncols:
             raise NotSquare(f"{self.nrows}x{self.ncols}")
-        return self.rank() == self.ncols
+        # n rows span n dimensions only if each one raises the rank
+        ech = Echelon(self.field, self.ncols)
+        return all(ech.insert(r) for r in self.ints)
 
 
 def _combination(field: Field, nrows: int, ncols: int, terms) -> Matrix:

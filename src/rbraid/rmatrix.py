@@ -29,6 +29,7 @@ from math import lcm
 
 from .algebra import (
     Algebra,
+    _expand,
     build_matrix_algebra,
     build_quaternion,
     build_tensor_product,
@@ -43,8 +44,8 @@ from .errors import (
     UnvalidatedAlgebra,
 )
 from .fields import Field
-from .linalg import (Matrix, _difference_echelon, _nonzero, _nullspace_ints, _reduced,
-                     _to_ints)
+from .linalg import (Echelon, Matrix, _difference_echelon, _nonzero, _nullspace_ints,
+                     _reduced, _to_ints)
 from .tensor import TensorElement, tensor_mul, unit_tensor
 
 DEFAULT_SIZE_CAP = 20
@@ -195,8 +196,39 @@ def _eq_check(name: str, lhs: TensorElement, rhs: TensorElement) -> CheckResult:
     return CheckResult(name, False, _first_diff(lhs, rhs))
 
 
-def _centralizing_check(name, A, R, leg_left, leg_right):
-    for b in range(A.dim):
+def _scan_indices(A: Algebra):
+    """The basis indices the centralizing checks scan: the algebra's
+    fixed-point indices once the verifier's own span check confirms that
+    the unit and its right-nested products with them span A, else every
+    index.
+
+    For a fixed R and two different legs, the a with a.R = R.a (a acting
+    on the left of one leg and the right of the other) form a subspace
+    that holds 1 and is closed under products, since the two actions
+    commute and A is associative (every index is scanned unless A
+    validates); so it is all of A once it holds a generating set.  A
+    generator is taken only when its basis element lies outside the span
+    built from the generators before it, so the smallest failing basis
+    index is a generator and the witness is the one a scan of the whole
+    basis gives.
+    """
+    gens = A.fixed_point_indices()
+    n = A.dim
+    if len(gens) == n:
+        return range(n)
+    prods, mod, _ = A._int_products()
+    ech = Echelon(A.field, n)
+    (unit,), _ = _to_ints((dict(enumerate(A.unit)),))
+    queue = [unit]
+    while queue:
+        v = queue.pop()
+        if v and ech.insert(v):
+            queue.extend(_expand(v.items(), prods[g], mod) for g in gens)
+    return gens if ech.rank == n else range(n)
+
+
+def _centralizing_check(name, A, R, leg_left, leg_right, indices):
+    for b in indices:
         e = A.basis_element(b)
         lhs = R.act_leg(leg_left, e, "left")
         rhs = R.act_leg(leg_right, e, "right")
@@ -252,7 +284,8 @@ def verify_rmatrix(A: Algebra, R: TensorElement) -> CheckReport:
     """Exact verification of the complete axiom list, independent of the
     solver's reduction.
 
-    c1..c3   the three centralizing identities, one per leg pairing;
+    c1..c3   the three centralizing identities, one per leg pairing,
+             scanned on a self-checked generating set (`_scan_indices`);
     h1, h2   the hexagon identities written out literally as double sums
              in the fourth tensor power;
     inv1/2   invertibility with the explicit inverse swap12(R);
@@ -273,10 +306,11 @@ def verify_rmatrix(A: Algebra, R: TensorElement) -> CheckReport:
     r124 = R.embed_legs(4, (1, 2, 4))
     r134 = R.embed_legs(4, (1, 3, 4))
     r234 = R.embed_legs(4, (2, 3, 4))
+    indices = _scan_indices(A)
     results = [
-        _centralizing_check("c1", A, R, 3, 1),
-        _centralizing_check("c2", A, R, 1, 2),
-        _centralizing_check("c3", A, R, 2, 3),
+        _centralizing_check("c1", A, R, 3, 1, indices),
+        _centralizing_check("c2", A, R, 1, 2, indices),
+        _centralizing_check("c3", A, R, 2, 3, indices),
         _eq_check("h1", r124, _literal_pair_product(R, (1, 2, 3), (1, 3, 4))),
         _eq_check("h2", r134, _literal_pair_product(R, (1, 2, 4), (2, 3, 4))),
         _eq_check("inv1", tensor_mul(R, s), unit3),

@@ -12,8 +12,10 @@ the algebra, reducing each output once; field values appear only where
 an element is built from them or read back through `coeffs`,
 `coefficient`, `iter_nonzero` and `to_json`.  Serialization and failure
 witnesses walk the monomials in sorted digit order (leg 1 most
-significant).  `tensor_mul` joins the two factors leg by leg and never
-expands a pair of monomials whose product vanishes on some leg.
+significant).  `tensor_mul` is one kernel for every arity: each
+monomial of the left factor walks a trie of the right factor depth
+first, and a branch whose product vanishes on some leg is never
+expanded.
 """
 from __future__ import annotations
 
@@ -253,13 +255,18 @@ class TensorElement:
         prods, mod, scale = A._int_products()
         coords, aden = _int_vector(a.coords)
         # column d of the action: a * e_d (left) or e_d * a (right)
-        action = []
-        for d in range(A.dim):
-            col = {}
-            for i, ai in coords.items():
-                for k, ck in (prods[i][d] if side == "left" else prods[d][i]):
-                    col[k] = col.get(k, 0) + ai * ck
-            action.append(tuple(_reduced(col, mod).items()))
+        if aden == 1 and list(coords.values()) == [1]:
+            # a basis element e_i: the columns are reduced rows of the table
+            (i,) = coords
+            action = prods[i] if side == "left" else [row[i] for row in prods]
+        else:
+            action = []
+            for d in range(A.dim):
+                col = {}
+                for i, ai in coords.items():
+                    for k, ck in (prods[i][d] if side == "left" else prods[d][i]):
+                        col[k] = col.get(k, 0) + ai * ck
+                action.append(tuple(_reduced(col, mod).items()))
         pos = leg - 1
         out = {}
         get = out.get
@@ -327,44 +334,68 @@ def tensor_mul(s: TensorElement, t: TensorElement) -> TensorElement:
     """Legwise product in the tensor-power algebra.
 
     The monomials of `t` are indexed in a trie with one level per leg.
-    Each monomial of `s` walks it leg by leg and follows only the digits
-    b with e_a * e_b nonzero, where a is its own digit on that leg, so
+    Each monomial of `s` walks it depth first with its rows of the
+    product table, one row per leg, and follows only the digits b with
+    e_a * e_b nonzero, where a is its own digit on that leg, so
     coefficients are multiplied only along branches that survive every
-    leg.
+    leg.  The output digits go into one list, which becomes a key only
+    at a leaf; the innermost call takes the last two legs together.
     """
     s._check_compatible(t)
     A = s.algebra
     # products[a][b]: the integer terms of e_a * e_b, empty where it vanishes
     products, mod, scale = A._int_products()
-    last = s.arity - 1
-    trie: dict = {}
-    for digits, c in t.ints.items():
-        node = trie
-        for d in digits[:last]:
-            child = node.get(d)
-            if child is None:
-                child = node[d] = {}
-            node = child
-        node[digits[last]] = c
+    m = s.arity
+    last = m - 1
     out = {}
     get = out.get
-    for ds, cs in s.ints.items():
-        # (trie node, output digits so far, coefficient so far)
-        level = [(trie, (), cs)]
-        for a in ds[:last]:
+    if m == 1:
+        for (a,), cs in s.ints.items():
             row = products[a]
-            nxt = []
-            for node, combo, c in level:
+            for (b,), ct in t.ints.items():
+                for k, ck in row[b]:
+                    digits = (k,)
+                    out[digits] = get(digits, 0) + cs * ct * ck
+    else:
+        trie: dict = {}
+        for digits, c in t.ints.items():
+            node = trie
+            for d in digits[:last]:
+                child = node.get(d)
+                if child is None:
+                    child = node[d] = {}
+                node = child
+            node[digits[last]] = c
+        key = [0] * m
+
+        def walk(node, rows, pos, c):
+            row = rows[pos]
+            if pos < last - 1:
                 for b, child in node.items():
                     for k, ck in row[b]:
-                        nxt.append((child, combo + (k,), c * ck))
-            level = nxt
-        # on the last leg the trie leaves are the coefficients of `t`
-        row = products[ds[last]]
-        for leaves, combo, c in level:
-            for b, ct in leaves.items():
-                for k, ck in row[b]:
-                    key = combo + (k,)
-                    out[key] = get(key, 0) + c * ck * ct
-    den = s.den * t.den * scale ** s.arity
-    return TensorElement._of(A, s.arity, _reduced(out, mod), den)
+                        key[pos] = k
+                        walk(child, rows, pos + 1, c * ck)
+                return
+            # the last two legs; the leaves are the coefficients of `t`
+            row2 = rows[last]
+            for b, leaves in node.items():
+                terms = row[b]
+                if not terms:
+                    continue
+                for b2, ct in leaves.items():
+                    terms2 = row2[b2]
+                    if not terms2:
+                        continue
+                    ct *= c
+                    for k, ck in terms:
+                        key[pos] = k
+                        ck *= ct
+                        for k2, ck2 in terms2:
+                            key[last] = k2
+                            digits = tuple(key)
+                            out[digits] = get(digits, 0) + ck * ck2
+
+        for ds, cs in s.ints.items():
+            walk(trie, [products[a] for a in ds], 0, cs)
+    den = s.den * t.den * scale ** m
+    return TensorElement._of(A, m, _reduced(out, mod), den)

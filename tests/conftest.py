@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import os
+import random
 
 from hypothesis import settings
 
@@ -62,3 +63,27 @@ def negative_corpus(field):
         build_direct_sum(build_matrix_algebra(2, field), k),
         upper_triangular_2x2(field),
     ]
+
+
+def unitriangular_basis(A: Algebra, seed: int) -> Algebra:
+    """A rewritten in the basis f_i = e_i + sum_{j<i} p_ji e_j, each p_ji
+    drawn from {-1, 0, 1} by `seed`: the same algebra, whose basis
+    products have several terms where A's have one."""
+    F, n = A.field, A.dim
+    rng = random.Random(seed)
+    # cols[i]: f_i in the coordinates of A's basis
+    cols = [[F.from_int(rng.choice((-1, 0, 1))) if j < i else F.from_int(int(j == i))
+             for j in range(n)] for i in range(n)]
+
+    def coords(v):
+        """The f-coordinates of v, by back substitution."""
+        x = [F.zero] * n
+        for j in range(n - 1, -1, -1):
+            acc = v[j]
+            for i in range(j + 1, n):
+                acc = F.sub(acc, F.mul(cols[i][j], x[i]))
+            x[j] = acc
+        return x
+
+    table = [[coords(A.mul_coords(cols[a], cols[b])) for b in range(n)] for a in range(n)]
+    return Algebra(F, table, coords(A.unit), label=f"unitriangular({A.label}, {seed})")

@@ -11,9 +11,11 @@ from pathlib import Path
 import pytest
 from hypothesis import given, strategies as st
 
-from rbraid import Algebra, Bimodule, QuotientSpace, RMatrixCertificate, cli
+from rbraid import (QQ, Algebra, Bimodule, QuotientSpace, RMatrixCertificate,
+                    build_matrix_algebra, cli)
 from rbraid.checks import CheckReport
 from rbraid.cli import main
+from conftest import unitriangular_basis
 
 M2 = {"field": {"kind": "Q"}, "algebra": {"kind": "matrix", "n": 2}}
 DUAL = {"field": {"kind": "Q"},
@@ -57,6 +59,17 @@ def test_solve_matrix(tmp_path, capsys):
     assert all(e["value"] == "1" for e in cert["r"]["coeffs"])
     assert cert["solver"]["solution_dim"] == 0
     assert len(report["input_sha256"]) == 64
+
+
+def test_solve_dense_basis_fixture(capsys):
+    # the input of CI's dense-basis smoke step: M2/Q in a unitriangular
+    # basis, with a four-term unit and basis products of up to four terms
+    path = Path(__file__).parent / "data" / "m2_unitriangular.json"
+    A = cli.build_algebra_from_spec(json.loads(path.read_text()))
+    assert A.same_as(unitriangular_basis(build_matrix_algebra(2, QQ), 3))
+    code, report = run(capsys, "solve", str(path))
+    assert code == 0
+    assert report["status"] == "unique"
 
 
 def test_solve_infeasible_exit_one(tmp_path, capsys):

@@ -284,6 +284,23 @@ def test_kron_matches_reference(field, n1, m1, n2, m2, data):
         assert_canonical(product)
 
 
+@given(st.sampled_from(KERNEL_FIELDS), st.integers(1, 5), st.data())
+def test_is_bijective_matches_rank(field, n, data):
+    # also with one row made a combination of the others, anywhere
+    m = data.draw(sparse_matrices(field, n, n))
+    rows = m.rows
+    i = data.draw(st.integers(0, n - 1))
+    c = field.from_int(data.draw(st.integers(-2, 2)))
+    dependent = {}
+    for j in range(n):
+        if j != i:
+            for col, v in rows[j].items():
+                dependent[col] = field.add(dependent.get(col, field.zero), field.mul(c, v))
+    singular = Matrix(field, n, n, rows[:i] + [dependent] + rows[i + 1:])
+    assert m.is_bijective() == (m.rank() == n)
+    assert not singular.is_bijective()
+
+
 # -- the stored form: integer rows over one common denominator ---------------
 
 

@@ -1,4 +1,5 @@
 """Solver, independent verifier and closed forms."""
+import random
 from fractions import Fraction
 from itertools import product
 
@@ -25,9 +26,9 @@ from rbraid.errors import (
     UnsupportedSize,
     UnvalidatedAlgebra,
 )
-from rbraid.rmatrix import pair_invariant_basis
+from rbraid.rmatrix import _centralizing_check, _scan_indices, pair_invariant_basis
 from rbraid import Algebra, validate_algebra
-from conftest import negative_corpus
+from conftest import negative_corpus, unitriangular_basis
 
 CHECK_NAMES = [
     "c1", "c2", "c3", "h1", "h2", "inv1", "inv2",
@@ -275,6 +276,87 @@ def test_verifier_catches_scaled_tensor():
     assert not report.passed
     assert not report["n1"].passed  # normalization breaks under scaling
     assert report["c3"].passed      # centralizing survives scaling
+
+
+# -- the centralizing checks on a generating set ------------------------------
+
+CENTRALIZING = (("c1", 3, 1), ("c2", 1, 2), ("c3", 2, 3))
+
+
+def scan(A, R, indices):
+    return [_centralizing_check(name, A, R, left, right, indices)
+            for name, left, right in CENTRALIZING]
+
+
+def verifier_scan(A, R):
+    return [res for res in verify_rmatrix(A, R) if res.name in ("c1", "c2", "c3")]
+
+
+def perturbed(A, R, rng):
+    terms = [(tuple(rng.randrange(A.dim) for _ in range(3)), A.field.from_int(rng.randrange(1, 5)))
+             for _ in range(rng.randint(1, 2))]
+    return R + TensorElement.from_terms(A, 3, terms)
+
+
+def test_generator_scan_matches_full_basis_scan():
+    mh = build_tensor_product(build_matrix_algebra(2, GF(7)), build_quaternion(2, 3, GF(7)))
+    cases = [
+        (build_matrix_algebra(2, QQ), matrix_closed_form(2, QQ)),
+        (build_quaternion(2, 3, QQ), quaternion_closed_form(2, 3, QQ)),
+        (mh, solve_rmatrix(mh).r),
+    ]
+    rng = random.Random(5)
+    for A, R in cases:
+        indices = _scan_indices(A)
+        assert len(indices) < A.dim  # the scan skips part of the basis
+        assert verifier_scan(A, R) == scan(A, R, range(A.dim))
+        bad = perturbed(A, R, rng)
+        assert verifier_scan(A, bad) == scan(A, bad, range(A.dim))
+        for _ in range(15):
+            bad = perturbed(A, R, rng)
+            results = scan(A, bad, indices)
+            assert results == scan(A, bad, range(A.dim))
+            assert not all(results)
+
+
+def test_generator_scan_on_a_dense_basis():
+    # M2 in a unitriangular basis: a four-term unit and products of up to
+    # four terms
+    A = unitriangular_basis(build_matrix_algebra(2, QQ), 3)
+    R = solve_rmatrix(A).r
+    indices = _scan_indices(A)
+    assert len(indices) < A.dim
+    rng = random.Random(11)
+    for _ in range(15):
+        bad = perturbed(A, R, rng)
+        assert scan(A, bad, indices) == scan(A, bad, range(A.dim))
+
+
+def test_generator_scan_reaches_later_generators():
+    # x = 2(i11 + 1i1 + 11i) + iii in H(2,3)^(x3), i = e_1 and i^2 = 2, is
+    # killed by i acting on any leg minus i acting on any other, so R + x
+    # passes for 1 and i and first fails at the generator j = e_2
+    H = build_quaternion(2, 3, QQ)
+    x = TensorElement.from_terms(H, 3, [((1, 0, 0), 2), ((0, 1, 0), 2), ((0, 0, 1), 2),
+                                        ((1, 1, 1), 1)])
+    bad = quaternion_closed_form(2, 3, QQ) + x
+    results = verifier_scan(H, bad)
+    assert results == scan(H, bad, range(H.dim))
+    assert all(res.witness.startswith("a=e_2,") for res in results)
+
+
+def test_generator_scan_falls_back_when_the_indices_do_not_generate(monkeypatch):
+    # e11 alone does not generate M2; x = e11 (x) e11 (x) e11 commutes with
+    # e11 in all three pairings, so only e12 and e21 expose R + x
+    monkeypatch.setattr(Algebra, "generators", lambda self: (0,))
+    A = build_matrix_algebra(2, QQ)
+    assert A.fixed_point_indices() == (0,)
+    assert _scan_indices(A) == range(A.dim)
+    bad = matrix_closed_form(2, QQ) + TensorElement.from_terms(A, 3, [((0, 0, 0), 1)])
+    assert all(scan(A, bad, (0,)))
+    results = verifier_scan(A, bad)
+    assert results == scan(A, bad, range(A.dim))
+    assert not any(results)
 
 
 def test_certificate_serialization():

@@ -26,6 +26,7 @@ from rbraid.errors import (
     LegOutOfRange,
 )
 from rbraid.rmatrix import _literal_pair_product
+from conftest import unitriangular_basis
 
 
 @pytest.fixture(scope="module")
@@ -228,11 +229,12 @@ def test_serialization_gf(m2):
     assert back == r5
 
 
-# -- the leg-by-leg join against the all-pairs product ----------------------
+# -- the product kernel against the all-pairs product ------------------------
 
 # Matrix algebras and direct sums have many vanishing basis products; the
 # quaternion and polynomial products never vanish and the quotient's
-# products have several terms.
+# products have several terms, as have those of M2 in a unitriangular basis
+# (dense products and a multi-term unit).
 JOIN_ALGEBRAS = [
     algebra
     for F in (QQ, GF(5))
@@ -242,6 +244,7 @@ JOIN_ALGEBRAS = [
         build_quaternion(-1, 3, F),
         build_poly_quotient([1, 2, 0, 1], F),
         build_direct_sum(build_matrix_algebra(2, F), build_poly_quotient([0, 0, 1], F)),
+        unitriangular_basis(build_matrix_algebra(2, F), 2),
     )
 ]
 
@@ -287,6 +290,36 @@ def test_tensor_mul_matches_all_pairs_reference(pair):
     product = tensor_mul(s, t)
     assert product == all_pairs_product(s, t)
     assert all(product.coeffs.values())  # no stored zeros
+
+
+ANNIHILATING = [
+    (A, pairs) for A in JOIN_ALGEBRAS
+    if (pairs := [(a, b) for a in range(A.dim) for b in range(A.dim)
+                  if not A.basis_products[a][b]])
+]
+
+
+@settings(max_examples=100)
+@given(st.data())
+def test_tensor_mul_of_operands_with_no_surviving_pair(data):
+    # every monomial of s has the digit a on one leg and every monomial of
+    # t the digit b there, with e_a * e_b = 0; the other legs are free
+    A, zero_pairs = data.draw(st.sampled_from(ANNIHILATING))
+    a, b = data.draw(st.sampled_from(zero_pairs))
+    arity = data.draw(st.integers(1, 4))
+    leg = data.draw(st.integers(0, arity - 1))
+
+    def pinned(digit):
+        free = elements(data.draw, A, arity, max_size=12)
+        return TensorElement.from_terms(A, arity, [(d[:leg] + (digit,) + d[leg + 1:], c)
+                                                   for d, c in free.coeffs.items()])
+
+    s, t = pinned(a), pinned(b)
+    zero = TensorElement.from_terms(A, arity, [])
+    for x, y in ((s, t), (zero, t), (s, zero), (zero, zero)):
+        product = tensor_mul(x, y)
+        assert product == all_pairs_product(x, y) == zero
+        assert product.den == 1
 
 
 # -- the stored form: integers over one denominator --------------------------
