@@ -378,18 +378,10 @@ class Matrix:
         """Full solution set of M x = b."""
         if len(b) != self.nrows:
             raise ShapeMismatch(f"rhs length {len(b)} vs {self.nrows} rows")
-        F = self.field
-        bcol, den = self.ncols, self.den
-        ech = Echelon(F, bcol + 1, pivot_limit=bcol)
         # the stored rows are den times the rows of M, so b scales by den
-        for r, bi in zip(self.ints, b):
-            ech.insert({**r, bcol: bi * den} if bi else r)
-        if any(res.get(bcol) for res in ech.residues):
-            return AffineSolution(is_empty=True)
-        particular = [F.zero] * self.ncols
-        for p, ridx in ech.pivots.items():
-            particular[p] = ech.rows[ridx].get(bcol, F.zero)
-        return AffineSolution(False, particular, nullspace_from_echelon(ech))
+        den = self.den
+        return solve_affine_rows(self.field, self.ncols,
+                                 ((r, bi * den) for r, bi in zip(self.ints, b)))
 
     def is_bijective(self) -> bool:
         if self.nrows != self.ncols:
@@ -397,6 +389,47 @@ class Matrix:
         # n rows span n dimensions only if each one raises the rank
         ech = Echelon(self.field, self.ncols)
         return all(ech.insert(r) for r in self.ints)
+
+
+def solve_affine_rows(field: Field, ncols: int, rows) -> AffineSolution:
+    """Full solution set of the affine system whose equations are the
+    (row, rhs) pairs of the iterable `rows`, read only as far as the
+    answer needs: row . x = rhs, with `row` a zero-free integer map over
+    the columns 0..ncols-1 (residues over GF(p)) and `rhs` a field value
+    on the row's scale (an int or Fraction over Q, a residue over GF(p)).
+
+    Rows are reduced into an echelon on the augmented column `ncols`.
+    The first residue, whose only support is that column, is an exact
+    certificate of 0 = c != 0, so the set is empty and no further row is
+    read.  Once the rank reaches `ncols` the solution can only be the
+    unique candidate x; every remaining row is then checked by exact
+    substitution, one integer dot product on the candidate's common
+    denominator (mod p over GF(p)), instead of being reduced.
+    """
+    mod = field.characteristic
+    ech = Echelon(field, ncols + 1, pivot_limit=ncols)
+    rows = iter(rows)
+    for row, b in rows:
+        ech.insert({**row, ncols: b} if b else row)
+        if ech.residues:
+            return AffineSolution(is_empty=True)
+        if ech.rank == ncols:
+            break
+    if ech.rank == ncols:
+        # a stored row is {p: a, ncols: c}, so x_p = c / a = xs[p] / den
+        stored = [(p, ech.int_rows[ridx]) for p, ridx in ech.pivots.items()]
+        den = lcm(1, *(r[p] for p, r in stored))
+        xs = [0] * ncols
+        for p, r in stored:
+            xs[p] = r.get(ncols, 0) * (den // r[p])
+        for row, b in rows:
+            s = sum(v * xs[j] for j, v in row.items())
+            if (s - b) % mod if mod else s != b * den:
+                return AffineSolution(is_empty=True)
+    particular = [field.zero] * ncols
+    for p, ridx in ech.pivots.items():
+        particular[p] = ech.rows[ridx].get(ncols, field.zero)
+    return AffineSolution(False, particular, nullspace_from_echelon(ech))
 
 
 def _combination(field: Field, nrows: int, ncols: int, terms) -> Matrix:

@@ -14,7 +14,10 @@ The solver works in two stages:
    over a field the full solution space of the centralizing identity on
    legs 2/3 is then exactly A (x) W;
 2. write R = sum_j e_j (x) w_j with unknown W-coordinates and impose the
-   two normalizations as an affine system.
+   two normalizations as an affine system, built n rows at a time and
+   read only as far as the answer needs: the first row that reduces to
+   0 = c != 0 proves that no R exists, and once the rank is full every
+   later row is checked by exact substitution into the unique candidate.
 
 An empty affine system means no R-matrix exists.  A positive-dimensional
 solution set contradicts uniqueness of the braiding over a field and is
@@ -44,8 +47,8 @@ from .errors import (
     UnvalidatedAlgebra,
 )
 from .fields import Field
-from .linalg import (Echelon, Matrix, _difference_echelon, _nonzero, _nullspace_ints,
-                     _reduced, _to_ints)
+from .linalg import (Echelon, _difference_echelon, _nullspace_ints, _reduced, _to_ints,
+                     solve_affine_rows)
 from .tensor import TensorElement, tensor_mul, unit_tensor
 
 DEFAULT_SIZE_CAP = 20
@@ -129,30 +132,17 @@ def solve_rmatrix(A: Algebra, size_cap: int | None = DEFAULT_SIZE_CAP):
     wscale = lcm(1, *(w.den for w in w_basis))
     w_ints = [[(xy, v * (wscale // w.den)) for xy, v in w.ints.items()] for w in w_basis]
 
-    # Affine system: unknowns x[j, t] with R = sum x[j,t] e_j (x) w_t.
-    # Block 1 demands (leg1*leg2) (x) leg3 = 1 (x) 1, block 2 demands
-    # leg2 (x) (leg3*leg1) = 1 (x) 1.  Entries accumulate as integers
-    # over the denominator pscale * wscale.
-    acc: list[dict] = [{} for _ in range(2 * n * n)]
-    for j in range(n):
-        for t in range(wdim):
-            col = j * wdim + t
-            for (x, y), v in w_ints[t]:
-                for k, ck in prods[j][x]:
-                    row = acc[k * n + y]
-                    row[col] = row.get(col, 0) + ck * v
-                for d, cd in prods[y][j]:
-                    row = acc[n * n + x * n + d]
-                    row[col] = row.get(col, 0) + cd * v
-    rhs_block = [F.zero] * (n * n)
-    for c, uc in enumerate(A.unit):
-        if uc == F.zero:
-            continue
-        for d, ud in enumerate(A.unit):
-            if ud != F.zero:
-                rhs_block[c * n + d] = F.mul(uc, ud)
-    system = Matrix._of(F, 2 * n * n, unknowns, _nonzero(acc, mod), pscale * wscale)
-    solution = system.solve_affine(rhs_block + rhs_block)
+    # the right-hand side 1 (x) 1 on the rows' scale, an int wherever it
+    # is integral (always over GF(p), where the scale is 1); it is symmetric
+    rscale = pscale * wscale
+    unit = [(c, uc) for c, uc in enumerate(A.unit) if uc]
+    rhs = {}
+    for c, uc in unit:
+        for d, ud in unit:
+            v = F.mul(uc, ud) * rscale
+            rhs[c, d] = v.numerator if v.denominator == 1 else v
+    rows = _normalization_rows(prods, mod, w_ints, wdim, rhs)
+    solution = solve_affine_rows(F, unknowns, rows)
     if solution.is_empty:
         return None
     if solution.dimension != 0:
@@ -170,6 +160,42 @@ def solve_rmatrix(A: Algebra, size_cap: int | None = DEFAULT_SIZE_CAP):
     r = TensorElement._of(A, 3, _reduced(r_ints, mod), xden * wscale)
     info = SolverInfo(w_dim=wdim, unknowns=unknowns, solution_dim=0)
     return _certify(A, r, info)
+
+
+def _normalization_rows(prods, mod, w_ints, wdim, rhs):
+    """The affine system of R = sum x[j,t] e_j (x) w_t, yielded n rows at
+    a time as (integer row over the unknowns j*wdim + t, rhs) pairs, so
+    that only the rows the solver reads are built.
+
+    Block 1 demands (leg1*leg2) (x) leg3 = 1 (x) 1: its rows (k, y) for
+    k = 0..n-1 come from the W terms with right leg y.  Block 2 demands
+    leg2 (x) (leg3*leg1) = 1 (x) 1: its rows (x, d) come from the W terms
+    with left leg x.  Entries are integers over pscale * wscale, the
+    scale of `rhs`, which maps (c, d) to the nonzero coordinates of
+    1 (x) 1 and is symmetric.
+    """
+    n = len(prods)
+    by_right = [[] for _ in range(n)]
+    by_left = [[] for _ in range(n)]
+    for t, terms in enumerate(w_ints):
+        for (x, y), v in terms:
+            by_right[y].append((t, x, v))
+            by_left[x].append((t, y, v))
+    # row (k, g) of block 1 takes e_j e_x over the terms (x, g) and row
+    # (g, k) of block 2 takes e_y e_j over the terms (g, y): both read
+    # table[j][z], with table the product table or its transpose
+    for index, table in ((by_right, prods), (by_left, list(zip(*prods)))):
+        for g, terms in enumerate(index):
+            block = [{} for _ in range(n)]
+            for j, products in enumerate(table):
+                base = j * wdim
+                for t, z, v in terms:
+                    col = base + t
+                    for k, c in products[z]:
+                        row = block[k]
+                        row[col] = row.get(col, 0) + c * v
+            for k, row in enumerate(block):
+                yield _reduced(row, mod), rhs.get((k, g), 0)
 
 
 def _certify(A: Algebra, r: TensorElement, info: SolverInfo | None) -> RMatrixCertificate:

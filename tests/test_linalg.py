@@ -8,11 +8,13 @@ from hypothesis import given, settings, strategies as st
 from rbraid import GF, QQ, Matrix, build_matrix_algebra, center
 from rbraid.errors import NotSquare, ShapeMismatch
 from rbraid.linalg import (
+    AffineSolution,
     Echelon,
     _combination,
     _difference_echelon,
     coordinates_in_span,
     nullspace_from_echelon,
+    solve_affine_rows,
 )
 
 
@@ -553,6 +555,98 @@ def test_solves_match_reference(field, data):
         consistent, values = span.column_values(len(basis) + t)
         assert got == (values if consistent else None)
     assert coords[0] is not None
+
+
+# -- the row-stream affine solver against a full-insert reference ------------
+
+
+def full_insert_solve(field, ncols, pairs):
+    """Reference: every (row, rhs) pair reduced into the augmented echelon,
+    then the consistency and the solution read off the whole of it."""
+    ech = Echelon(field, ncols + 1, pivot_limit=ncols)
+    for r, b in pairs:
+        ech.insert({**r, ncols: b} if b else r)
+    if any(res.get(ncols) for res in ech.residues):
+        return AffineSolution(is_empty=True)
+    particular = [field.zero] * ncols
+    for p, ridx in ech.pivots.items():
+        particular[p] = ech.rows[ridx].get(ncols, field.zero)
+    return AffineSolution(False, particular, nullspace_from_echelon(ech))
+
+
+@st.composite
+def affine_systems(draw, field, kind):
+    """(ncols, rank, (integer row, rhs) pairs) of one kind of system:
+
+    unique    full rank, consistent, rows shuffled;
+    positive  rank below ncols, consistent;
+    early     rank below ncols, one dependent row's rhs shifted, so the
+              0 = c residue comes before the rank could be full;
+    late      the independent rows first, then dependent rows with one
+              rhs shifted, so only the substitution stage can see it.
+
+    The rhs are field values at a random solution x; over Q x has
+    Fraction entries and an integral rhs is sometimes passed as an int.
+    """
+    F = field
+    if field is QQ:
+        reduce = lambda row: {j: v for j, v in row.items() if v}
+        nonzero = st.integers(-4, 4).filter(bool)
+        value = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 4))
+    else:
+        reduce = lambda row: {j: w for j, v in row.items() if (w := v % field.p)}
+        nonzero = st.integers(1, field.p - 1)
+        value = st.integers(0, field.p - 1)
+    small = st.integers(-4, 4)
+    ncols = draw(st.integers(1, 5))
+    rank = ncols if kind in ("unique", "late") else draw(st.integers(0, ncols - 1))
+    # independent rows: distinct leading columns, each with a nonzero entry
+    independent = []
+    for p in sorted(draw(st.permutations(range(ncols)))[:rank]):
+        row = {p: draw(nonzero)}
+        row.update({j: draw(small) for j in range(p + 1, ncols)})
+        independent.append(reduce(row))
+    dependent = []
+    for _ in range(draw(st.integers(1 if kind in ("early", "late") else 0, 4))):
+        row = {}
+        for base in independent:
+            c = draw(small)
+            for j, v in base.items():
+                row[j] = row.get(j, 0) + c * v
+        dependent.append(reduce(row))
+    x = [F.coerce(draw(value)) for _ in range(ncols)]
+
+    def rhs(row):
+        b = F.zero
+        for j, v in row.items():
+            b = F.add(b, F.mul(F.coerce(v), x[j]))
+        if field is QQ and b.denominator == 1 and draw(st.booleans()):
+            return b.numerator
+        return b
+
+    independent = [(row, rhs(row)) for row in independent]
+    dependent = [(row, rhs(row)) for row in dependent]
+    if kind in ("early", "late"):
+        i = draw(st.integers(0, len(dependent) - 1))
+        row, b = dependent[i]
+        dependent[i] = (row, F.add(F.coerce(b), F.coerce(draw(nonzero))))
+    if kind == "late":
+        pairs = draw(st.permutations(independent)) + draw(st.permutations(dependent))
+    else:
+        pairs = draw(st.permutations(independent + dependent))
+    return ncols, rank, pairs
+
+
+@pytest.mark.parametrize("field", KERNEL_FIELDS)
+@pytest.mark.parametrize("kind", ["unique", "positive", "early", "late"])
+@given(data=st.data())
+def test_row_stream_solve_matches_full_insert(field, kind, data):
+    ncols, rank, pairs = data.draw(affine_systems(field, kind))
+    got = solve_affine_rows(field, ncols, (pair for pair in pairs))
+    assert got == full_insert_solve(field, ncols, pairs)
+    assert got.dimension == {"unique": 0, "positive": ncols - rank}.get(kind, -1)
+    if not got.is_empty:
+        assert_canonical_values(field, got.particular)
 
 
 @given(st.sampled_from(KERNEL_FIELDS), st.integers(0, 4), st.integers(0, 4), st.data())

@@ -2,6 +2,7 @@
 import random
 from fractions import Fraction
 from itertools import product
+from math import lcm
 
 import pytest
 
@@ -21,11 +22,14 @@ from rbraid import (
     unit_tensor,
     verify_rmatrix,
 )
+from rbraid import rmatrix
 from rbraid.errors import (
     ArityMismatch,
+    NonUniqueSolution,
     UnsupportedSize,
     UnvalidatedAlgebra,
 )
+from rbraid.linalg import _reduced
 from rbraid.rmatrix import _centralizing_check, _scan_indices, pair_invariant_basis
 from rbraid import Algebra, validate_algebra
 from conftest import negative_corpus, unitriangular_basis
@@ -180,6 +184,100 @@ def test_w_space_dimension_m2():
             # the computed basis
             from rbraid.linalg import coordinates_in_span
             assert coordinates_in_span(QQ, basis, [vec])[0] is not None
+
+
+# -- the streamed normalization system ----------------------------------
+
+
+def record_pulled_rows(monkeypatch, drain=False):
+    """Wrap the solver that `solve_rmatrix` calls so that the returned list
+    collects every (row, rhs) pair it pulls from the system's generator;
+    with `drain` the whole system is pulled first."""
+    pulled = []
+    solve = rmatrix.solve_affine_rows
+
+    def recording(field, ncols, rows):
+        def counted():
+            for pair in rows:
+                pulled.append(pair)
+                yield pair
+        return solve(field, ncols, list(counted()) if drain else counted())
+
+    monkeypatch.setattr(rmatrix, "solve_affine_rows", recording)
+    return pulled
+
+
+def eager_normalization_system(A):
+    """Reference: the 2n^2 rows of the normalization system assembled in one
+    pass over (j, t) and the W terms, row k*n + y of block 1 and row
+    n*n + x*n + d of block 2, with 1 (x) 1 on the rows' scale as rhs."""
+    n, F = A.dim, A.field
+    prods, mod, pscale = A._int_products()
+    w_basis = pair_invariant_basis(A)
+    wdim = len(w_basis)
+    wscale = lcm(1, *(w.den for w in w_basis))
+    acc = [{} for _ in range(2 * n * n)]
+    for j in range(n):
+        for t, w in enumerate(w_basis):
+            col = j * wdim + t
+            for (x, y), v in w.ints.items():
+                v *= wscale // w.den
+                for k, ck in prods[j][x]:
+                    acc[k * n + y][col] = acc[k * n + y].get(col, 0) + ck * v
+                for d, cd in prods[y][j]:
+                    i = n * n + x * n + d
+                    acc[i][col] = acc[i].get(col, 0) + cd * v
+    rhs = [F.mul(A.unit[i // n], A.unit[i % n]) * pscale * wscale for i in range(n * n)]
+    return [(_reduced(row, mod), rhs[i % (n * n)]) for i, row in enumerate(acc)]
+
+
+@pytest.mark.parametrize("A", [
+    build_matrix_algebra(2, QQ),
+    build_quaternion(2, 3, QQ),
+    build_quaternion(1, 1, GF(7)),
+    build_poly_quotient([-2, 0, 1], QQ),
+    unitriangular_basis(build_matrix_algebra(2, QQ), 3),
+], ids=lambda A: A.label)
+def test_streamed_system_matches_eager_assembly(monkeypatch, A):
+    pulled = record_pulled_rows(monkeypatch, drain=True)
+    solve_rmatrix(A)
+    n = A.dim
+    # block 1 comes grouped by the right leg y, block 2 by the left leg x
+    order = [k * n + y for y in range(n) for k in range(n)]
+    order += [n * n + i for i in range(n * n)]
+    reference = eager_normalization_system(A)
+    assert len(pulled) == len(reference) == 2 * n * n
+    for (row, b), i in zip(pulled, order):
+        assert row == reference[i][0] and b == reference[i][1]
+        assert type(b) is int or b.denominator != 1  # integral rhs stay ints
+
+
+def test_infeasible_solve_stops_at_a_certificate(monkeypatch):
+    # Q[x]/(x^2 - 2) is commutative and Q -> A is no epimorphism: an early
+    # row reduces to 0 = c != 0 and the rest of the system is never built
+    pulled = record_pulled_rows(monkeypatch)
+    assert solve_rmatrix(build_poly_quotient([-2, 0, 1], QQ)) is None
+    assert 0 < len(pulled) < 2 * 2 * 2
+
+
+def test_unique_solve_substitutes_every_later_row(monkeypatch):
+    # block 2 of M3/Q is read and checked by substitution, never skipped
+    pulled = record_pulled_rows(monkeypatch)
+    cert = solve_rmatrix(build_matrix_algebra(3, QQ))
+    assert cert.r == matrix_closed_form(3, QQ)
+    assert len(pulled) == 2 * 9 * 9
+
+
+@pytest.mark.parametrize("field", [QQ, GF(5)])
+def test_positive_dimensional_solution_set_raises(monkeypatch, field):
+    # W-coordinates duplicated on purpose: the 32 unknowns of M2 keep rank
+    # 16, so the solution set has dimension 16 and every row is reduced
+    basis = rmatrix.pair_invariant_basis
+    monkeypatch.setattr(rmatrix, "pair_invariant_basis", lambda A: basis(A) * 2)
+    pulled = record_pulled_rows(monkeypatch)
+    with pytest.raises(NonUniqueSolution, match="affine solution set has dimension 16"):
+        solve_rmatrix(build_matrix_algebra(2, field))
+    assert len(pulled) == 2 * 4 * 4
 
 
 # -- verifier ----------------------------------------------------------
