@@ -209,10 +209,6 @@ class Algebra:
             )
         return self._commutative
 
-    def is_validated(self) -> bool:
-        report = self._validation
-        return report is not None and report.passed
-
 
 class AlgebraElement:
     """Coordinate vector in a fixed algebra."""

@@ -23,6 +23,7 @@ from .linalg import (
     Matrix,
     _combination,
     _difference_echelon,
+    _nullspace_ints,
     coordinates_in_span,
     nullspace_from_echelon,
 )
@@ -100,44 +101,32 @@ def check_bimodule(M: Bimodule) -> CheckReport:
     n = A.dim
     results = []
 
-    lam_unit = _combination(F, M.dim, M.dim, ((c, M.left[i]) for i, c in enumerate(A.unit) if c))
-    rho_unit = _combination(F, M.dim, M.dim, ((c, M.right[i]) for i, c in enumerate(A.unit) if c))
+    def expect(actions, products):
+        return _combination(F, M.dim, M.dim, ((c, actions[k]) for k, c in products))
+
     eye = Matrix.identity(F, M.dim)
-    results.append(CheckResult("unital", lam_unit == eye and rho_unit == eye))
+    unit = [(i, c) for i, c in enumerate(A.unit) if c]
+    results.append(CheckResult("unital", expect(M.left, unit) == eye
+                               and expect(M.right, unit) == eye))
 
-    ok, witness = True, None
+    # (name, witness prefix, holds on (e_i, e_j)); one row-major scan finds
+    # the first failing pair of each law
+    laws = [
+        ("representation", "left action fails on",
+         lambda i, j: M.left[i] @ M.left[j] == expect(M.left, A.basis_products[i][j])),
+        ("anti_representation", "right action fails on",
+         lambda i, j: M.right[i] @ M.right[j] == expect(M.right, A.basis_products[j][i])),
+        ("actions_commute", "actions do not commute on",
+         lambda i, j: M.left[i] @ M.right[j] == M.right[j] @ M.left[i]),
+    ]
+    witnesses: dict[str, str] = {}
     for i in range(n):
         for j in range(n):
-            expect = _combination(F, M.dim, M.dim,
-                                  ((c, M.left[k]) for k, c in A.basis_products[i][j]))
-            if M.left[i] @ M.left[j] != expect:
-                ok, witness = False, f"left action fails on (e_{i}, e_{j})"
-                break
-        if not ok:
-            break
-    results.append(CheckResult("representation", ok, witness))
-
-    ok, witness = True, None
-    for i in range(n):
-        for j in range(n):
-            expect = _combination(F, M.dim, M.dim,
-                                  ((c, M.right[k]) for k, c in A.basis_products[j][i]))
-            if M.right[i] @ M.right[j] != expect:
-                ok, witness = False, f"right action fails on (e_{i}, e_{j})"
-                break
-        if not ok:
-            break
-    results.append(CheckResult("anti_representation", ok, witness))
-
-    ok, witness = True, None
-    for i in range(n):
-        for j in range(n):
-            if M.left[i] @ M.right[j] != M.right[j] @ M.left[i]:
-                ok, witness = False, f"actions do not commute on (e_{i}, e_{j})"
-                break
-        if not ok:
-            break
-    results.append(CheckResult("actions_commute", ok, witness))
+            for name, what, holds in laws:
+                if name not in witnesses and not holds(i, j):
+                    witnesses[name] = f"{what} (e_{i}, e_{j})"
+    results += [CheckResult(name, name not in witnesses, witnesses.get(name))
+                for name, _, _ in laws]
     report = CheckReport(results)
     M.lawful = M.lawful or report.passed
     return report
@@ -190,20 +179,12 @@ class QuotientSpace:
     @property
     def projection(self) -> Matrix:
         if self._projection is None:
-            # pivot p of an echelon row r eliminates to -r[f]/r[p] on each
-            # free column f; over Q all of them share the lcm of the r[p]
-            ech, mod = self._ech, self.field.characteristic
-            pivot_rows = [(p, ech.int_rows[ridx]) for p, ridx in ech.pivots.items()]
-            den = lcm(*(r[p] for p, r in pivot_rows))
-            index = {f: t for t, f in enumerate(self.free_cols)}
-            rows: list[dict] = [{} for _ in range(self.dim)]
-            for t, f in enumerate(self.free_cols):
-                rows[t][f] = den
-            for p, r in pivot_rows:
-                k = -(den // r[p])
-                for f, v in r.items():
-                    if f != p:
-                        rows[index[f]][p] = v * k % mod if mod else v * k
+            # row t is the kernel vector of the t-th free column, which
+            # is 1 there and -r[f]/r[p] at the pivot p of each echelon row r
+            basis = _nullspace_ints(self._ech)
+            den = lcm(1, *(d for _, d in basis))
+            rows = [ints if d == den else {j: v * (den // d) for j, v in ints.items()}
+                    for ints, d in basis]
             self._projection = Matrix._of(self.field, self.dim, self.ambient_dim, rows, den)
         return self._projection
 
@@ -330,20 +311,29 @@ def swap_matrix(field: Field, dm: int, dn: int) -> Matrix:
     return Matrix._of(field, dm * dn, dm * dn, rows)
 
 
-def braiding_ambient(cert: RMatrixCertificate, M: Bimodule, N: Bimodule) -> Matrix:
-    """The ambient matrix of m (x) n -> sum R1.n.R2 (x) m.R3."""
-    F = M.algebra.field
-    # group by the leg acting on M so only one Kronecker product per
-    # algebra basis element is formed
+def _r_operator(cert: RMatrixCertificate, Y: Bimodule, X: list[Matrix]) -> Matrix:
+    """sum c * (Y.left[i] Y.right[j]) (x) X[k] over the terms
+    c * e_i (x) e_j (x) e_k of R, composed with the flip of the two
+    factors: the operator of the braiding (X = M.right) and of the
+    Yang-Baxter operator (X = V.left)."""
+    F = Y.algebra.field
+    dx = X[0].nrows
+    # group by the leg of X so only one Kronecker product per algebra
+    # basis element is formed
     by_k: dict[int, list] = {}
     for (i, j, k), c in cert.r.iter_nonzero():
         by_k.setdefault(k, []).append((c, i, j))
-    big = _combination(F, N.dim * M.dim, N.dim * M.dim, (
-        (F.one, _combination(F, N.dim, N.dim, (
-            (c, N.left[i] @ N.right[j]) for c, i, j in terms)).kron(M.right[k]))
+    big = _combination(F, Y.dim * dx, Y.dim * dx, (
+        (F.one, _combination(F, Y.dim, Y.dim, (
+            (c, Y.left[i] @ Y.right[j]) for c, i, j in terms)).kron(X[k]))
         for k, terms in by_k.items()
     ))
-    return big @ swap_matrix(F, M.dim, N.dim)
+    return big @ swap_matrix(F, dx, Y.dim)
+
+
+def braiding_ambient(cert: RMatrixCertificate, M: Bimodule, N: Bimodule) -> Matrix:
+    """The ambient matrix of m (x) n -> sum R1.n.R2 (x) m.R3."""
+    return _r_operator(cert, N, M.right)
 
 
 def braiding_map(cert: RMatrixCertificate, M: Bimodule, N: Bimodule) -> QuotientMap:
@@ -462,13 +452,7 @@ def alpha_map(M: Bimodule) -> Matrix:
             for s, v in enumerate(u):
                 vec[i * M.dim + s] = v
             targets.append(vec)
-    coords = coordinates_in_span(F, ext, targets)
-    cols = []
-    for c in coords:
-        if c is None:
-            raise NotWellDefined("a (x) m is not invariant under 1 (x) A")
-        cols.append(c)
-    return Matrix.from_columns(F, len(ext), cols)
+    return _coordinates_matrix(F, ext, targets, "a (x) m is not invariant under 1 (x) A")
 
 
 def adjunction_unit(A: Algebra, d: int) -> Matrix:
@@ -484,13 +468,16 @@ def adjunction_unit(A: Algebra, d: int) -> Matrix:
             if u != F.zero:
                 vec[i * d + s] = u
         targets.append(vec)
-    coords = coordinates_in_span(F, inv, targets)
-    cols = []
-    for c in coords:
-        if c is None:
-            raise NotWellDefined("1 (x) n is not invariant")
-        cols.append(c)
-    return Matrix.from_columns(F, len(inv), cols)
+    return _coordinates_matrix(F, inv, targets, "1 (x) n is not invariant")
+
+
+def _coordinates_matrix(field: Field, basis, targets, failure: str) -> Matrix:
+    """The matrix whose columns are the coordinates of the targets in the
+    basis; raises NotWellDefined(failure) when one lies outside its span."""
+    coords = coordinates_in_span(field, basis, targets)
+    if any(c is None for c in coords):
+        raise NotWellDefined(failure)
+    return Matrix.from_columns(field, len(basis), coords)
 
 
 def canonical_morphism(M: Bimodule, m_coords) -> Matrix:
@@ -519,17 +506,9 @@ def is_bimodule_map(M: Bimodule, N: Bimodule, matrix: Matrix) -> bool:
 
 def _naturality_samples(M: Bimodule):
     F = M.algebra.field
-    out = []
-    seen = set()
     e0 = [F.zero] * M.dim
     e0[0] = F.one
-    ones = [F.one] * M.dim
-    for vec in (e0, ones):
-        key = tuple(vec)
-        if key not in seen:
-            seen.add(key)
-            out.append(vec)
-    return out
+    return [e0] if M.dim == 1 else [e0, [F.one] * M.dim]
 
 
 def _equal_bimodules(X: Bimodule, Y: Bimodule) -> bool:

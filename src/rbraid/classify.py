@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .algebra import Algebra, center
-from .linalg import Matrix, _nonzero
+from .linalg import Matrix, _reduced
 from .rmatrix import DEFAULT_SIZE_CAP, solve_rmatrix
 from .tensor import unit_tensor
 
@@ -33,7 +33,8 @@ def f_map(A: Algebra) -> Matrix:
                     for r, cr in prods[i][m]:
                         row = rows[r * n + c]
                         row[col] = row.get(col, 0) + cm * cr
-    return Matrix._of(A.field, n * n, n * n, _nonzero(rows, mod), scale * scale)
+    return Matrix._of(A.field, n * n, n * n, [_reduced(r, mod) for r in rows],
+                      scale * scale)
 
 
 def is_epi_from_base(A: Algebra) -> bool:

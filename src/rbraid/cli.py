@@ -6,13 +6,16 @@ Reports are canonical JSON (sorted keys, exact scalar strings); the
 timing field is informational and excluded from byte-stability
 guarantees.
 
-Exit codes: 0 for success/consistent, 1 for a mathematical negative
-(no R-matrix, a failed check, an inconsistent classification), 2 for
-input errors, an `--out` that cannot be written among them.  A usage
-error (an unknown subcommand, a missing or unknown argument) and an
-internal error (any other exception, its message prefixed with
-"internal error: <Type>:") also exit 2 with one JSON error object on
-stdout; `--help` prints its text and exits 0.
+Each command handler takes the parsed arguments and the loaded algebra
+and returns (passed, status, payload); `main` alone loads the input file,
+builds the report, emits it and maps the outcome to an exit code: 0 for
+success/consistent, 1 for a mathematical negative (no R-matrix, a failed
+check, an inconsistent classification), 2 for input errors, an `--out`
+that cannot be written among them.  A usage error (an unknown
+subcommand, a missing or unknown argument) and an internal error (any
+other exception, its message prefixed with "internal error: <Type>:")
+also exit 2 with one JSON error object on stdout; `--help` prints its
+text and exits 0.
 """
 from __future__ import annotations
 
@@ -203,11 +206,6 @@ def _load_json(path: str):
         raise ParseError(f"{path}: JSON nested too deeply") from exc
 
 
-def _load_algebra(path: str) -> tuple[Algebra, str]:
-    obj, digest = _load_json(path)
-    return build_algebra_from_spec(obj), digest
-
-
 def _extract_tensor_json(obj) -> dict:
     """Accept a raw tensor, a certificate, or a whole solve report."""
     if isinstance(obj, dict):
@@ -279,98 +277,60 @@ def _emit(report: dict, args) -> None:
         raise ParseError(f"cannot write {args.out}: {exc.strerror or exc}") from exc
 
 
-def _report(command: str, digest: str, status: str, payload: dict,
-            started: float) -> dict:
-    return {
-        "command": command,
-        "input_sha256": digest,
-        "status": status,
-        "payload": payload,
-        "timing_ms": int((time.perf_counter() - started) * 1000),
-    }
-
-
 # -- commands ----------------------------------------------------------
 
 
-def _cmd_validate(args) -> int:
-    started = time.perf_counter()
-    A, digest = _load_algebra(args.file)
+class _Infeasible(Exception):
+    """No R-matrix exists for the algebra: a report, not an error."""
+
+
+def _cmd_validate(args, A: Algebra) -> tuple[bool, str, dict]:
     report = validate_algebra(A)
     payload = {"algebra": A.label, "dim": A.dim, "checks": report.to_json()}
-    status = "valid" if report.passed else "invalid"
-    _emit(_report("validate", digest, status, payload, started), args)
-    return 0 if report.passed else 1
+    return report.passed, "valid" if report.passed else "invalid", payload
 
 
-def _solver_cap(args) -> int | None:
-    return None if args.force else DEFAULT_SIZE_CAP
-
-
-def _solve(command: str, args, bimodules=()):
-    """(started, algebra, digest, certificate, bimodules) for the input
-    file and the named bimodules.  Their dimensions, and for --force-less
-    runs their product, are checked before the solve; they are built only
-    when an R-matrix exists.  When none exists the infeasible report is
-    emitted and the certificate is None."""
-    started = time.perf_counter()
-    A, digest = _load_algebra(args.file)
+def _solve(args, A: Algebra, bimodules=()):
+    """(certificate, bimodules) for the algebra and the named bimodules.
+    Their dimensions, and for --force-less runs their product, are checked
+    before the solve; they are built only when an R-matrix exists.  When
+    none exists this raises _Infeasible."""
     specs = [_bimodule_spec(A, text) for text in bimodules]
     ambient = math.prod(dim for _, dim in specs)
     if ambient > MAX_AUDIT_DIM and not args.force:
         raise UnsupportedSize(f"bimodule dims {'x'.join(str(d) for _, d in specs)} = {ambient} "
                               f"exceed the audit limit {MAX_AUDIT_DIM} (lift with --force)")
-    cert = solve_rmatrix(A, size_cap=_solver_cap(args))
+    cert = solve_rmatrix(A, size_cap=None if args.force else DEFAULT_SIZE_CAP)
     if cert is None:
-        _emit(_report(command, digest, "infeasible", {"algebra": A.label}, started), args)
-        return started, A, digest, None, []
-    return started, A, digest, cert, [build(A) for build, _ in specs]
+        raise _Infeasible
+    return cert, [build(A) for build, _ in specs]
 
 
-def _cmd_solve(args) -> int:
-    started, A, digest, cert, _ = _solve("solve", args)
-    if cert is None:
-        return 1
-    payload = {"certificate": cert.to_json()}
+def _cmd_solve(args, A: Algebra) -> tuple[bool, str, dict]:
+    cert, _ = _solve(args, A)
     status = "unique" if cert.valid else "invalid_certificate"
-    _emit(_report("solve", digest, status, payload, started), args)
-    return 0 if cert.valid else 1
+    return cert.valid, status, {"certificate": cert.to_json()}
 
 
-def _cmd_verify(args) -> int:
-    started = time.perf_counter()
-    A, digest = _load_algebra(args.file)
+def _cmd_verify(args, A: Algebra) -> tuple[bool, str, dict]:
     robj, rdigest = _load_json(args.rmatrix)
     tensor = TensorElement.from_json(A, _extract_tensor_json(robj))
     report = verify_rmatrix(A, tensor)
-    payload = {
-        "algebra": A.label,
-        "rmatrix_sha256": rdigest,
-        "checks": report.to_json(),
-    }
-    status = "pass" if report.passed else "fail"
-    _emit(_report("verify", digest, status, payload, started), args)
-    return 0 if report.passed else 1
+    payload = {"algebra": A.label, "rmatrix_sha256": rdigest, "checks": report.to_json()}
+    return report.passed, "pass" if report.passed else "fail", payload
 
 
-def _cmd_classify(args) -> int:
-    started = time.perf_counter()
-    A, digest = _load_algebra(args.file)
-    report = classify(A, size_cap=_solver_cap(args))
+def _cmd_classify(args, A: Algebra) -> tuple[bool, str, dict]:
+    report = classify(A, size_cap=None if args.force else DEFAULT_SIZE_CAP)
     status = "consistent" if report.consistent else "inconsistent"
-    _emit(_report("classify", digest, status, report.to_json(), started), args)
-    return 0 if report.consistent else 1
+    return report.consistent, status, report.to_json()
 
 
-def _cmd_ybe(args) -> int:
-    started, A, digest, cert, built = _solve("ybe", args, [args.bimodule])
-    if cert is None:
-        return 1
-    (V,) = built
+def _cmd_ybe(args, A: Algebra) -> tuple[bool, str, dict]:
+    cert, (V,) = _solve(args, A, [args.bimodule])
     op = build_omega(cert, V, size_cap=None if args.force else DEFAULT_DIM_CAP)
     checks = CheckReport([check_qybe(op), check_braid(op), check_omega_cubed(op)])
     rank, rank_sq = omega_rank_profile(op)
-    ok = checks.passed
     payload = {
         "algebra": A.label,
         "bimodule": args.bimodule,
@@ -380,23 +340,17 @@ def _cmd_ybe(args) -> int:
         "rank_squared": rank_sq,
         "omega": op.to_json(),
     }
-    _emit(_report("ybe", digest, "pass" if ok else "fail", payload, started), args)
-    return 0 if ok else 1
+    return checks.passed, "pass" if checks.passed else "fail", payload
 
 
-def _cmd_audit(args) -> int:
+def _cmd_audit(args, A: Algebra) -> tuple[bool, str, dict]:
     names = [t.strip() for t in args.triple.split(",")]
     if len(names) != 3:
         raise ParseError(f"--triple needs three entries, got {args.triple!r}")
-    started, A, digest, cert, built = _solve("audit", args, names)
-    if cert is None:
-        return 1
-    M, N, P = built
+    cert, (M, N, P) = _solve(args, A, names)
     report = audit_braiding(cert, M, N, P)
     payload = {"algebra": A.label, "triple": names, "checks": report.to_json()}
-    status = "pass" if report.passed else "fail"
-    _emit(_report("audit", digest, status, payload, started), args)
-    return 0 if report.passed else 1
+    return report.passed, "pass" if report.passed else "fail", payload
 
 
 # -- entry point -----------------------------------------------------------
@@ -474,7 +428,21 @@ def main(argv=None) -> int:
     except _UsageError as exc:
         return _emit_error(None, f"usage: {exc}")
     try:
-        return args.func(args)
+        started = time.perf_counter()
+        spec, digest = _load_json(args.file)
+        A = build_algebra_from_spec(spec)
+        try:
+            passed, status, payload = args.func(args, A)
+        except _Infeasible:
+            passed, status, payload = False, "infeasible", {"algebra": A.label}
+        _emit({
+            "command": args.command,
+            "input_sha256": digest,
+            "status": status,
+            "payload": payload,
+            "timing_ms": int((time.perf_counter() - started) * 1000),
+        }, args)
+        return 0 if passed else 1
     except RBraidError as exc:
         # input errors speak for themselves; any other error names its type
         if isinstance(exc, (ParseError, UnsupportedSize)):

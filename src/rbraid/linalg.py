@@ -351,8 +351,8 @@ class Matrix:
 
     # -- eliminations ----------------------------------------------------
 
-    def _echelon(self, pivot_limit=None) -> Echelon:
-        ech = Echelon(self.field, self.ncols, pivot_limit)
+    def _echelon(self) -> Echelon:
+        ech = Echelon(self.field, self.ncols)
         ech.extend(self.ints)  # the span of the rows does not see `den`
         return ech
 
@@ -451,7 +451,8 @@ def _combination(field: Field, nrows: int, ncols: int, terms) -> Matrix:
             get = out.get
             for j, v in r.items():
                 out[j] = get(j, 0) + k * v
-    return Matrix._of(field, nrows, ncols, _nonzero(acc, field.characteristic), scale)
+    mod = field.characteristic
+    return Matrix._of(field, nrows, ncols, [_reduced(r, mod) for r in acc], scale)
 
 
 def _difference_echelon(field: Field, ncols: int, pairs, q: int = 1) -> Echelon:
@@ -504,12 +505,6 @@ def _to_ints(rows) -> tuple[IntRows, int]:
             for r in rows], den
 
 
-def _nonzero(rows: IntRows, mod: int) -> IntRows:
-    """Integer rows with zeros dropped; with a modulus (nonzero `mod`)
-    each entry is reduced first."""
-    return [_reduced(r, mod) for r in rows]
-
-
 def _reduced(r: dict, mod: int) -> dict:
     """One integer map with zeros dropped, each entry reduced first when
     there is a modulus (nonzero `mod`)."""
@@ -545,23 +540,24 @@ def _nullspace_ints(ech: Echelon) -> list[tuple[dict, int]]:
     (zero-free integer map column -> value, denominator) pair per free
     column f, in column order: 1 at f and -r[f]/r[p] at the pivot p of
     each stored row r (residues over 1 in GF(p))."""
-    mod = ech._mod
-    hits: dict[int, list] = {f: [] for f in ech.free_columns()}
-    for p, ridx in ech.pivots.items():
-        r = ech.int_rows[ridx]
+    mod, rows, pivots = ech._mod, ech.int_rows, ech.pivots
+    basis = {f: {f: 1} for f in ech.free_columns()}
+    get = basis.get
+    dens: dict[int, int] = {}  # columns met by a pivot other than 1, only over Q
+    for p, ridx in pivots.items():
+        r = rows[ridx]
+        a = r[p]
         for f, v in r.items():
-            entries = hits.get(f)
-            if entries is not None:
-                entries.append((p, v, r[p]))
-    basis = []
-    for f, entries in hits.items():
-        den = lcm(1, *(a for _, _, a in entries))  # 1 over GF(p): pivots are one
-        ints = {f: den}
-        for p, v, a in entries:
-            w = -v * (den // a)
-            ints[p] = w % mod if mod else w
-        basis.append((ints, den))
-    return basis
+            ints = get(f)
+            if ints is not None:
+                ints[p] = -v % mod if mod else -v
+                if a != 1:
+                    dens[f] = lcm(dens.get(f, 1), a)
+    for f, den in dens.items():  # -v becomes -v * den / a
+        ints = basis[f]
+        for p, w in ints.items():
+            ints[p] = den if p == f else w * (den // rows[pivots[p]][p])
+    return [(ints, dens.get(f, 1)) for f, ints in basis.items()]
 
 
 def nullspace_from_echelon(ech: Echelon):

@@ -10,10 +10,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .bimodules import Bimodule, swap_matrix
+from .bimodules import Bimodule, _r_operator
 from .checks import CheckResult
 from .errors import UnsupportedSize, UnverifiedCertificate
-from .linalg import IntRows, Matrix, _combination, _int_matmul
+from .linalg import IntRows, Matrix, _int_matmul
 from .rmatrix import RMatrixCertificate
 
 DEFAULT_DIM_CAP = 16
@@ -48,13 +48,7 @@ def build_omega(cert: RMatrixCertificate, V: Bimodule,
     cert.algebra.check_same(V.algebra)
     if size_cap is not None and V.dim > size_cap:
         raise UnsupportedSize(f"bimodule dim {V.dim} exceeds cap {size_cap}")
-    F = V.algebra.field
-    m = V.dim
-    big = _combination(F, m * m, m * m, (
-        (c, (V.left[i] @ V.right[j]).kron(V.left[k]))
-        for (i, j, k), c in cert.r.iter_nonzero()
-    ))
-    return YBOperator(V, big @ swap_matrix(F, m, m))
+    return YBOperator(V, _r_operator(cert, V, V.left))
 
 
 # The triple-power products are the one place where dense-ish exact

@@ -72,6 +72,32 @@ def test_constructors_and_laws(m2):
         assert check_bimodule(M).passed
 
 
+def test_check_bimodule_witnesses(m2):
+    # e_0..e_3 = E11, E12, E21, E22.  The right action a -> L_{a^T} is an
+    # anti-representation that does not commute with the left action;
+    # doubling L_{E22} and the right action of E11 then breaks both
+    # (anti-)representation laws, each at its own first pair in row-major
+    # order, and the unit law, which carries no witness
+    L = m2.left_mult_matrices()
+    left = [L[0], L[1], L[2], L[3] + L[3]]
+    right = [L[0] + L[0], L[2], L[1], L[3]]
+    M = Bimodule(m2, left, right, "broken")
+    assert entries(check_bimodule(M)) == [
+        ("unital", False, None),
+        ("representation", False, "left action fails on (e_1, e_3)"),
+        ("anti_representation", False, "right action fails on (e_0, e_0)"),
+        ("actions_commute", False, "actions do not commute on (e_0, e_1)"),
+    ]
+    assert not M.lawful
+    transposed = Bimodule(m2, L, [L[0], L[2], L[1], L[3]], "transposed")
+    assert entries(check_bimodule(transposed)) == [
+        ("unital", True, None),
+        ("representation", True, None),
+        ("anti_representation", True, None),
+        ("actions_commute", False, "actions do not commute on (e_0, e_1)"),
+    ]
+
+
 def test_constructors_cached(m2):
     assert regular_bimodule(m2) is regular_bimodule(m2)
     assert square_bimodule(m2) is square_bimodule(m2)

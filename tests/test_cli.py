@@ -1,6 +1,7 @@
 """Command-line interface: formats, exit codes, determinism."""
 import contextlib
 import gc
+import hashlib
 import io
 import json
 import os
@@ -536,6 +537,57 @@ def test_audit_bad_triple(tmp_path, capsys):
     path = write(tmp_path, "m2.json", M2)
     code, report = run(capsys, "audit", path, "--triple", "regular,regular")
     assert code == 2
+
+
+Q2 = {"field": {"kind": "Q"},
+      "algebra": {"kind": "poly_quotient", "modulus": ["-2", "0", "1"]}}
+
+
+def test_audit_infeasible_builds_no_bimodule(tmp_path, capsys, monkeypatch):
+    # Q[x]/(x^2 - 2) is separable but not central, so it has no R-matrix:
+    # the audit reports that, and builds none of its bimodules
+    for name in ["regular_bimodule", "square_bimodule", "free_bimodule"]:
+        monkeypatch.setattr(cli, name, refuse)
+    path = write(tmp_path, "q2.json", Q2)
+    code, report = run(capsys, "audit", path, "--triple", "regular,square,free:2")
+    assert code == 1 and report["status"] == "infeasible"
+    assert report["payload"] == {"algebra": "poly_quotient([-2,0,1])/QQ"}
+
+
+def envelope_argv(tmp_path, monkeypatch, command, passing):
+    """Arguments on which `command` passes, or reports a negative."""
+    path = write(tmp_path, "m2.json", M2)
+    if command == "verify":
+        rpath = str(tmp_path / "r.json")
+        if passing:
+            assert main(["solve", path, "--out", rpath]) == 0
+        else:
+            write(tmp_path, "r.json",
+                  {"arity": 3, "coeffs": [{"monomial": [0, 0, 0], "value": "1"}]})
+        return [command, path, rpath]
+    if not passing and command == "validate":
+        bad = json.loads(json.dumps(UPPER))
+        bad["algebra"]["table"][0][0] = ["1", "1", "0"]
+        path = write(tmp_path, "bad.json", bad)
+    elif not passing and command == "classify":
+        # a solver that finds no R-matrix for the central simple M2
+        monkeypatch.setattr(sys.modules["rbraid.classify"], "solve_rmatrix",
+                            lambda A, size_cap=None: None)
+    elif not passing:
+        path = write(tmp_path, "dual.json", DUAL)
+    return [command, path]
+
+
+@pytest.mark.parametrize("passing", [True, False], ids=["passing", "negative"])
+@pytest.mark.parametrize("command", list(cli._COMMANDS))
+def test_report_envelope(tmp_path, capsys, monkeypatch, command, passing):
+    argv = envelope_argv(tmp_path, monkeypatch, command, passing)
+    code, report = run(capsys, *argv)
+    assert code == (0 if passing else 1)
+    assert sorted(report) == ["command", "input_sha256", "payload", "status", "timing_ms"]
+    assert report["command"] == command
+    digest = hashlib.sha256(Path(argv[1]).read_bytes()).hexdigest()
+    assert report["input_sha256"] == digest
 
 
 def test_nested_spec_kinds(tmp_path, capsys):
