@@ -152,12 +152,6 @@ class Algebra:
         coords[i] = self.field.one
         return AlgebraElement(self, coords)
 
-    def unit_element(self) -> "AlgebraElement":
-        return AlgebraElement(self, self.unit)
-
-    def zero_element(self) -> "AlgebraElement":
-        return AlgebraElement(self, [self.field.zero] * self.dim)
-
     def mul_coords(self, x, y):
         F = self.field
         out = [F.zero] * self.dim

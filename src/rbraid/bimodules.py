@@ -24,7 +24,6 @@ from .linalg import (
     _combination,
     _difference_echelon,
     _nullspace_ints,
-    coordinates_in_span,
     nullspace_from_echelon,
 )
 from .rmatrix import RMatrixCertificate
@@ -51,7 +50,7 @@ class Bimodule:
         self.right = right
         self.label = label
         self.lawful = lawful
-        self._invariants = None
+        self._invariant_ech: Echelon | None = None
         self._tensor_cache: dict[int, "QuotientSpace"] = {}
 
     def __repr__(self):
@@ -106,8 +105,11 @@ def check_bimodule(M: Bimodule) -> CheckReport:
 
     eye = Matrix.identity(F, M.dim)
     unit = [(i, c) for i, c in enumerate(A.unit) if c]
-    results.append(CheckResult("unital", expect(M.left, unit) == eye
-                               and expect(M.right, unit) == eye))
+    failing = [side for side, actions in (("left", M.left), ("right", M.right))
+               if expect(actions, unit) != eye]
+    witness = ("left and right actions of 1 are not the identity" if len(failing) == 2
+               else f"{failing[0]} action of 1 is not the identity" if failing else None)
+    results.append(CheckResult("unital", not failing, witness))
 
     # (name, witness prefix, holds on (e_i, e_j)); one row-major scan finds
     # the first failing pair of each law
@@ -132,13 +134,60 @@ def check_bimodule(M: Bimodule) -> CheckReport:
     return report
 
 
-def invariants(M: Bimodule):
-    """Canonical basis of {m : a.m = m.a for all a} (cached)."""
-    if M._invariants is None:
+def _invariant_echelon(M: Bimodule) -> Echelon:
+    """Echelon of the equations a.m = m.a (cached): the invariants are its
+    kernel."""
+    if M._invariant_ech is None:
         pairs = ((M.left[i], M.right[i]) for i in M.algebra.fixed_point_indices(M.lawful))
-        ech = _difference_echelon(M.algebra.field, M.dim, pairs)
-        M._invariants = nullspace_from_echelon(ech)
-    return M._invariants
+        M._invariant_ech = _difference_echelon(M.algebra.field, M.dim, pairs)
+    return M._invariant_ech
+
+
+def invariants(M: Bimodule):
+    """Canonical basis of {m : a.m = m.a for all a}, as dense vectors."""
+    return nullspace_from_echelon(_invariant_echelon(M))
+
+
+def _relations(ech: Echelon) -> Matrix:
+    """The echelon's stored rows as a matrix: its kernel is the solution
+    space of the eliminated equations."""
+    return Matrix._of(ech.field, ech.rank, ech.ncols, list(ech.int_rows))
+
+
+def _kernel_basis(ech: Echelon) -> Matrix:
+    """The kernel basis of the echelon as rows, in the canonical free-column
+    parametrization: row t is 1 at the t-th free column f, 0 at the other
+    free columns and -r[f]/r[p] at the pivot p of each stored row r."""
+    basis = _nullspace_ints(ech)
+    den = lcm(1, *(d for _, d in basis))
+    rows = [ints if d == den else {j: v * (den // d) for j, v in ints.items()}
+            for ints, d in basis]
+    return Matrix._of(ech.field, len(rows), ech.ncols, rows, den)
+
+
+def _kernel_coordinates(ech: Echelon, X: Matrix, failure: str) -> Matrix:
+    """The coordinates of the columns of X in the kernel basis of the
+    echelon: a kernel vector is the sum of its entries at the free columns
+    times their basis vectors, so they are the rows of X at those columns.
+    Raises NotWellDefined(failure) when a column lies outside the kernel."""
+    if not (_relations(ech) @ X).is_zero():
+        raise NotWellDefined(failure)
+    rows = [X.ints[f] for f in ech.free_columns()]
+    return Matrix._of(X.field, len(rows), X.ncols, rows, X.den)
+
+
+def _hstack(field: Field, blocks: list[Matrix]) -> Matrix:
+    """[B_0 | B_1 | ...] for blocks of one row count."""
+    den = lcm(1, *(b.den for b in blocks))
+    rows: list[dict] = [{} for _ in range(blocks[0].nrows)]
+    base = 0
+    for b in blocks:
+        k = den // b.den
+        for out, r in zip(rows, b.ints):
+            for j, v in r.items():
+                out[base + j] = v * k
+        base += b.ncols
+    return Matrix._of(field, len(rows), base, rows, den)
 
 
 class QuotientSpace:
@@ -179,13 +228,9 @@ class QuotientSpace:
     @property
     def projection(self) -> Matrix:
         if self._projection is None:
-            # row t is the kernel vector of the t-th free column, which
-            # is 1 there and -r[f]/r[p] at the pivot p of each echelon row r
-            basis = _nullspace_ints(self._ech)
-            den = lcm(1, *(d for _, d in basis))
-            rows = [ints if d == den else {j: v * (den // d) for j, v in ints.items()}
-                    for ints, d in basis]
-            self._projection = Matrix._of(self.field, self.dim, self.ambient_dim, rows, den)
+            # the kernel basis rows vanish on every relation and each is 1
+            # at its own free column, so projection . section is the identity
+            self._projection = _kernel_basis(self._ech)
         return self._projection
 
     @property
@@ -287,17 +332,10 @@ def induced_map(source: QuotientSpace, target: QuotientSpace, ambient: Matrix,
             f"{target.ambient_dim}<-{source.ambient_dim}"
         )
     projected_ambient = target.projection @ ambient
-    rels = source.relation_rows()
-    if rels:
-        # stack the relations as columns; the map is well-defined exactly
-        # when all their projected images vanish
-        cols: list[dict] = [{} for _ in range(source.ambient_dim)]
-        for t, rel in enumerate(rels):
-            for j, v in rel.items():
-                cols[j][t] = v
-        rel_mat = Matrix._of(source.field, source.ambient_dim, len(rels), cols)
-        if not (projected_ambient @ rel_mat).is_zero():
-            raise NotWellDefined(f"{what} does not preserve the balancing relations")
+    # the map is well-defined exactly when the projected images of all the
+    # relations, stacked as columns, vanish
+    if not (projected_ambient @ _relations(source._ech).transpose()).is_zero():
+        raise NotWellDefined(f"{what} does not preserve the balancing relations")
     matrix = projected_ambient @ source.section
     return QuotientMap(source, target, matrix)
 
@@ -311,6 +349,19 @@ def swap_matrix(field: Field, dm: int, dn: int) -> Matrix:
     return Matrix._of(field, dm * dn, dm * dn, rows)
 
 
+def _leg_sums(cert: RMatrixCertificate, Y: Bimodule, leg: int) -> dict[int, Matrix]:
+    """{g: sum c * Y.left[a] Y.right[b]} over the terms c * e_i (x) e_j (x) e_k
+    of R whose index on `leg` (0, 1 or 2) is g, (a, b) being the other two
+    indices in order."""
+    by_leg: dict[int, list] = {}
+    for digits, c in cert.r.iter_nonzero():
+        a, b = digits[:leg] + digits[leg + 1:]
+        by_leg.setdefault(digits[leg], []).append((c, a, b))
+    F = Y.algebra.field
+    return {g: _combination(F, Y.dim, Y.dim, ((c, Y.left[a] @ Y.right[b]) for c, a, b in terms))
+            for g, terms in by_leg.items()}
+
+
 def _r_operator(cert: RMatrixCertificate, Y: Bimodule, X: list[Matrix]) -> Matrix:
     """sum c * (Y.left[i] Y.right[j]) (x) X[k] over the terms
     c * e_i (x) e_j (x) e_k of R, composed with the flip of the two
@@ -318,26 +369,16 @@ def _r_operator(cert: RMatrixCertificate, Y: Bimodule, X: list[Matrix]) -> Matri
     Yang-Baxter operator (X = V.left)."""
     F = Y.algebra.field
     dx = X[0].nrows
-    # group by the leg of X so only one Kronecker product per algebra
+    # grouped by the leg of X so only one Kronecker product per algebra
     # basis element is formed
-    by_k: dict[int, list] = {}
-    for (i, j, k), c in cert.r.iter_nonzero():
-        by_k.setdefault(k, []).append((c, i, j))
     big = _combination(F, Y.dim * dx, Y.dim * dx, (
-        (F.one, _combination(F, Y.dim, Y.dim, (
-            (c, Y.left[i] @ Y.right[j]) for c, i, j in terms)).kron(X[k]))
-        for k, terms in by_k.items()
-    ))
+        (F.one, op.kron(X[k])) for k, op in _leg_sums(cert, Y, 2).items()))
     return big @ swap_matrix(F, dx, Y.dim)
 
 
-def braiding_ambient(cert: RMatrixCertificate, M: Bimodule, N: Bimodule) -> Matrix:
-    """The ambient matrix of m (x) n -> sum R1.n.R2 (x) m.R3."""
-    return _r_operator(cert, N, M.right)
-
-
 def braiding_map(cert: RMatrixCertificate, M: Bimodule, N: Bimodule) -> QuotientMap:
-    """The braiding M (x)_A N -> N (x)_A M induced by the certificate.
+    """The braiding M (x)_A N -> N (x)_A M induced by the certificate from
+    the ambient map m (x) n -> sum R1.n.R2 (x) m.R3.
 
     Well-definedness on the quotient is checked, not assumed; a failing
     check raises NotWellDefined and signals an invalid certificate.
@@ -346,7 +387,7 @@ def braiding_map(cert: RMatrixCertificate, M: Bimodule, N: Bimodule) -> Quotient
     M.algebra.check_same(N.algebra)
     src = tensor_over_A(M, N)
     dst = tensor_over_A(N, M)
-    return induced_map(src, dst, braiding_ambient(cert, M, N), what="braiding")
+    return induced_map(src, dst, _r_operator(cert, N, M.right), what="braiding")
 
 
 def associator(M: Bimodule, N: Bimodule, P: Bimodule,
@@ -371,6 +412,10 @@ def associator(M: Bimodule, N: Bimodule, P: Bimodule,
 
 
 # -- adjunction machinery ---------------------------------------------------
+#
+# An invariant space is the kernel of an echelon and carries its canonical
+# basis (`_kernel_basis`); each map below is a product of action matrices,
+# and a map into invariants reads its coordinates off the free columns.
 
 
 def epsilon_map(M: Bimodule) -> Matrix:
@@ -378,13 +423,8 @@ def epsilon_map(M: Bimodule) -> Matrix:
 
     Columns are ordered with the algebra index major, matching the
     coordinates used by `zeta_map` and `alpha_map`."""
-    A = M.algebra
-    inv = invariants(M)
-    cols = []
-    for i in range(A.dim):
-        for u in inv:
-            cols.append(M.left[i].matvec(u))
-    return Matrix.from_columns(A.field, M.dim, cols)
+    basis = _kernel_basis(_invariant_echelon(M)).transpose()
+    return _hstack(M.algebra.field, [L @ basis for L in M.left])
 
 
 def zeta_map(cert: RMatrixCertificate, M: Bimodule) -> Matrix:
@@ -395,100 +435,57 @@ def zeta_map(cert: RMatrixCertificate, M: Bimodule) -> Matrix:
     certificate) this raises NotWellDefined."""
     A = M.algebra
     cert.algebra.check_same(A)
-    F = A.field
-    inv = invariants(M)
-    tdim = len(inv)
-    by_i: dict[int, list] = {}
-    for (i, j, k), c in cert.r.iter_nonzero():
-        by_i.setdefault(i, []).append((c, j, k))
-    ops = {
-        i: _combination(F, M.dim, M.dim, ((c, M.left[j] @ M.right[k]) for c, j, k in terms))
-        for i, terms in by_i.items()
-    }
-    targets = []
-    for beta in range(M.dim):
-        e = [F.zero] * M.dim
-        e[beta] = F.one
-        for i in range(A.dim):
-            op = ops.get(i)
-            targets.append(op.matvec(e) if op is not None else [F.zero] * M.dim)
-    coords = coordinates_in_span(F, inv, targets)
-    rows: list[dict] = [{} for _ in range(A.dim * tdim)]
-    pos = 0
-    for beta in range(M.dim):
-        for i in range(A.dim):
-            c = coords[pos]
-            pos += 1
-            if c is None:
-                raise NotWellDefined("image component is not invariant")
-            for t, v in enumerate(c):
-                if v != F.zero:
-                    rows[i * tdim + t][beta] = v
-    return Matrix(F, A.dim * tdim, M.dim, rows)
+    ech = _invariant_echelon(M)
+    ops = _leg_sums(cert, M, 0)
+    zero = Matrix.zeros(A.field, M.dim, M.dim)
+    # block i of the rows, stacked top to bottom, holds the coordinates of
+    # the R2.m.R3 of the terms with R1 = e_i
+    blocks = [_kernel_coordinates(ech, ops.get(i, zero), "image component is not invariant")
+              for i in range(A.dim)]
+    return _hstack(A.field, [b.transpose() for b in blocks]).transpose()
+
+
+def _extended_echelon(M: Bimodule) -> Echelon:
+    A = M.algebra
+    eye = Matrix.identity(A.field, A.dim)
+    pairs = ((eye.kron(M.left[i]), eye.kron(M.right[i]))
+             for i in A.fixed_point_indices(M.lawful))
+    return _difference_echelon(A.field, A.dim * M.dim, pairs)
 
 
 def extended_invariants(M: Bimodule):
     """Basis of the invariants of A (x) M where the algebra acts on the
     module factor only (the target space of `alpha_map`)."""
-    A = M.algebra
-    eye = Matrix.identity(A.field, A.dim)
-    pairs = ((eye.kron(M.left[i]), eye.kron(M.right[i]))
-             for i in A.fixed_point_indices(M.lawful))
-    return nullspace_from_echelon(_difference_echelon(A.field, A.dim * M.dim, pairs))
+    return nullspace_from_echelon(_extended_echelon(M))
 
 
 def alpha_map(M: Bimodule) -> Matrix:
     """A (x) M^A -> (A (x) M)^(1 (x) A), a (x) m -> a (x) m, expressed on
     the two canonical invariant bases.  Bijective whenever the base is a
     field."""
-    A = M.algebra
-    F = A.field
-    inv = invariants(M)
-    ext = extended_invariants(M)
-    targets = []
-    for i in range(A.dim):
-        for u in inv:
-            vec = [F.zero] * (A.dim * M.dim)
-            for s, v in enumerate(u):
-                vec[i * M.dim + s] = v
-            targets.append(vec)
-    return _coordinates_matrix(F, ext, targets, "a (x) m is not invariant under 1 (x) A")
+    F = M.algebra.field
+    basis = _kernel_basis(_invariant_echelon(M)).transpose()
+    return _kernel_coordinates(_extended_echelon(M),
+                               Matrix.identity(F, M.algebra.dim).kron(basis),
+                               "a (x) m is not invariant under 1 (x) A")
 
 
 def adjunction_unit(A: Algebra, d: int) -> Matrix:
     """k^d -> (A (x) k^d)^A, n -> 1 (x) n, on the invariant basis of the
     free bimodule."""
-    V = free_bimodule(A, d)
-    F = A.field
-    inv = invariants(V)
-    targets = []
-    for s in range(d):
-        vec = [F.zero] * V.dim
-        for i, u in enumerate(A.unit):
-            if u != F.zero:
-                vec[i * d + s] = u
-        targets.append(vec)
-    return _coordinates_matrix(F, inv, targets, "1 (x) n is not invariant")
-
-
-def _coordinates_matrix(field: Field, basis, targets, failure: str) -> Matrix:
-    """The matrix whose columns are the coordinates of the targets in the
-    basis; raises NotWellDefined(failure) when one lies outside its span."""
-    coords = coordinates_in_span(field, basis, targets)
-    if any(c is None for c in coords):
-        raise NotWellDefined(failure)
-    return Matrix.from_columns(field, len(basis), coords)
+    one = Matrix.from_columns(A.field, A.dim, [A.unit])
+    return _kernel_coordinates(_invariant_echelon(free_bimodule(A, d)),
+                               one.kron(Matrix.identity(A.field, d)),
+                               "1 (x) n is not invariant")
 
 
 def canonical_morphism(M: Bimodule, m_coords) -> Matrix:
     """The bimodule map from the square bimodule to M sending
     a (x) b -> a.m.b; columns follow the tensor basis of A (x) A."""
-    A = M.algebra
-    cols = []
-    for i in range(A.dim):
-        for j in range(A.dim):
-            cols.append(M.left[i].matvec(M.right[j].matvec(list(m_coords))))
-    return Matrix.from_columns(A.field, M.dim, cols)
+    F = M.algebra.field
+    m = Matrix.from_columns(F, M.dim, [list(m_coords)])
+    mb = _hstack(F, [R @ m for R in M.right])  # column j is m.e_j
+    return _hstack(F, [L @ mb for L in M.left])
 
 
 def is_bimodule_map(M: Bimodule, N: Bimodule, matrix: Matrix) -> bool:

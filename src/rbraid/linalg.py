@@ -125,12 +125,11 @@ class Echelon:
         out, scale = self._residue(row)
         if not out:
             return False
-        pivotable = [c for c in out if c < self.pivot_limit]
-        if not pivotable:
+        p = min(out)
+        if p >= self.pivot_limit:
             self.residues.append(
                 out if mod else {j: Fraction(v, scale) for j, v in out.items()})
             return False
-        p = min(pivotable)
         head = out[p]
         if mod:
             if head != 1:
@@ -571,41 +570,3 @@ def nullspace_from_echelon(ech: Echelon):
             vec[j] = v if mod else Fraction(v, den)
         basis.append(vec)
     return basis
-
-
-def coordinates_in_span(field: Field, basis, targets):
-    """Coordinates of each target vector in the span of `basis`.
-
-    `basis` must be linearly independent vectors of equal length; returns
-    one coordinate list per target, or None where the target lies outside
-    the span.  All targets are solved in a single elimination.
-    """
-    t = len(basis)
-    if t == 0:
-        return [None if any(tgt) else [] for tgt in targets]
-    dim = len(basis[0])
-    k = len(targets)
-    ech = Echelon(field, t + k, pivot_limit=t)
-    for i in range(dim):
-        row: Row = {}
-        for s, bvec in enumerate(basis):
-            if bvec[i]:
-                row[s] = bvec[i]
-        for j, tgt in enumerate(targets):
-            if tgt[i]:
-                row[t + j] = tgt[i]
-        if row:
-            ech.insert(row)
-    if ech.rank != t:
-        raise ShapeMismatch("span basis is linearly dependent")
-    out = []
-    for j in range(k):
-        col = t + j
-        if any(res.get(col) for res in ech.residues):
-            out.append(None)
-            continue
-        coords = [field.zero] * t
-        for p, ridx in ech.pivots.items():
-            coords[p] = ech.rows[ridx].get(col, field.zero)
-        out.append(coords)
-    return out

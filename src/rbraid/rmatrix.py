@@ -81,7 +81,6 @@ class RMatrixCertificate:
 
     algebra: Algebra
     r: TensorElement
-    inverse: TensorElement
     checks: CheckReport
     solver: SolverInfo | None = None
 
@@ -199,9 +198,7 @@ def _normalization_rows(prods, mod, w_ints, wdim, rhs):
 
 
 def _certify(A: Algebra, r: TensorElement, info: SolverInfo | None) -> RMatrixCertificate:
-    checks = verify_rmatrix(A, r)
-    inverse = r.permute_legs(_SWAP12)
-    return RMatrixCertificate(A, r, inverse, checks, info)
+    return RMatrixCertificate(A, r, verify_rmatrix(A, r), info)
 
 
 def _first_diff(lhs: TensorElement, rhs: TensorElement) -> str:

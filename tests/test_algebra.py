@@ -118,11 +118,12 @@ def test_matrix_unit_products():
     e11, e12, e21, e22 = (A.basis_element(i) for i in range(4))
     assert e11 * e12 == e12
     assert e12 * e21 == e11
-    assert e12 * e12 == A.zero_element()
+    assert e12 * e12 == A.element([QQ.zero] * 4)
     assert (e11 + e22) * e12 == e12
     x = A.element([Fraction(1), Fraction(2), Fraction(3), Fraction(4)])
-    assert x * A.unit_element() == x
-    assert A.unit_element() * x == x
+    one = A.element(A.unit)
+    assert x * one == x
+    assert one * x == x
 
 
 def test_quaternion_products_derived_from_relations():
@@ -178,14 +179,14 @@ def test_poly_quotient_x_squared():
     A = build_poly_quotient([0, 0, 1], QQ)
     assert A.dim == 2
     x = A.basis_element(1)
-    assert x * x == A.zero_element()
+    assert x * x == A.element([QQ.zero, QQ.zero])
     assert validate_algebra(A).passed
 
 
 def test_poly_quotient_split():
     A = build_poly_quotient([-1, 0, 1], QQ)  # x^2 - 1
     x = A.basis_element(1)
-    assert x * x == A.unit_element()
+    assert x * x == A.element(A.unit)
     assert A.is_commutative()
 
 

@@ -2,6 +2,7 @@
 import json
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -15,6 +16,7 @@ from rbraid import (
     alpha_map,
     audit_braiding,
     braiding_map,
+    build_direct_sum,
     build_matrix_algebra,
     build_poly_quotient,
     build_quaternion,
@@ -38,10 +40,12 @@ from rbraid import bimodules
 from rbraid.bimodules import (
     QuotientMap,
     QuotientSpace,
+    extended_invariants,
     induced_map,
     is_bimodule_map,
     swap_matrix,
 )
+from rbraid.cli import build_algebra_from_spec
 from rbraid.errors import NotWellDefined, ShapeMismatch
 from conftest import upper_triangular_2x2
 
@@ -77,13 +81,13 @@ def test_check_bimodule_witnesses(m2):
     # anti-representation that does not commute with the left action;
     # doubling L_{E22} and the right action of E11 then breaks both
     # (anti-)representation laws, each at its own first pair in row-major
-    # order, and the unit law, which carries no witness
+    # order, and the unit law on both sides
     L = m2.left_mult_matrices()
     left = [L[0], L[1], L[2], L[3] + L[3]]
     right = [L[0] + L[0], L[2], L[1], L[3]]
     M = Bimodule(m2, left, right, "broken")
     assert entries(check_bimodule(M)) == [
-        ("unital", False, None),
+        ("unital", False, "left and right actions of 1 are not the identity"),
         ("representation", False, "left action fails on (e_1, e_3)"),
         ("anti_representation", False, "right action fails on (e_0, e_0)"),
         ("actions_commute", False, "actions do not commute on (e_0, e_1)"),
@@ -96,6 +100,14 @@ def test_check_bimodule_witnesses(m2):
         ("anti_representation", True, None),
         ("actions_commute", False, "actions do not commute on (e_0, e_1)"),
     ]
+    # the unit law names the one side that fails
+    transposed_right = [L[0], L[2], L[1], L[3]]
+    for lefts, rights, witness in [
+        (left, transposed_right, "left action of 1 is not the identity"),
+        (L, [L[0], L[2], L[1], L[3] + L[3]], "right action of 1 is not the identity"),
+    ]:
+        report = check_bimodule(Bimodule(m2, lefts, rights, "one side"))
+        assert entries(report)[0] == ("unital", False, witness)
 
 
 def test_constructors_cached(m2):
@@ -114,8 +126,6 @@ def test_square_invariants_match_known_span(m2):
     # sum_k e_ki (x) e_jk is invariant for each (i, j); these four span
     # the computed space
     inv = invariants(square_bimodule(m2))
-    from rbraid.linalg import coordinates_in_span
-
     n = 2
     claimed = []
     for i in range(n):
@@ -124,9 +134,9 @@ def test_square_invariants_match_known_span(m2):
             for k in range(n):
                 vec[(k * n + i) * 4 + (j * n + k)] = QQ.one
             claimed.append(vec)
-    coords = coordinates_in_span(QQ, inv, claimed)
-    assert all(c is not None for c in coords)
-    assert Matrix.from_columns(QQ, 4, coords).is_bijective()
+    solutions = [Matrix.from_columns(QQ, 16, inv).solve_affine(vec) for vec in claimed]
+    assert not any(sol.is_empty for sol in solutions)
+    assert Matrix.from_columns(QQ, 4, [sol.particular for sol in solutions]).is_bijective()
 
 
 def test_tensor_over_A_dims(m2):
@@ -287,6 +297,118 @@ def test_canonical_morphism_properties(m2):
         one_one = [unit2.coefficient((a, b)) for a in range(4) for b in range(4)]
         assert f.matvec(one_one) == m
         assert is_bimodule_map(sq, M, f)
+
+
+# -- the adjunction maps against dense-vector references ---------------------
+#
+# Each reference builds the targets of a map as dense vectors and solves for
+# their coordinates in the canonical invariant basis with one affine solve a
+# target; the maps must equal them entry for entry.
+
+
+def coordinates_reference(F, basis, dim, targets):
+    """The matrix whose columns are the unique coordinates of the targets in
+    the basis; NotWellDefined when a target lies outside its span."""
+    B = Matrix.from_columns(F, dim, basis)
+    columns = []
+    for target in targets:
+        sol = B.solve_affine(target)
+        if sol.is_empty:
+            raise NotWellDefined("target outside the span")
+        assert sol.basis == []
+        columns.append(sol.particular)
+    return Matrix.from_columns(F, len(basis), columns)
+
+
+def epsilon_reference(M):
+    cols = [L.matvec(u) for L in M.left for u in invariants(M)]
+    return Matrix.from_columns(M.algebra.field, M.dim, cols)
+
+
+def zeta_reference(cert, M):
+    A, F = M.algebra, M.algebra.field
+    inv = invariants(M)
+    ops = [Matrix.zeros(F, M.dim, M.dim) for _ in range(A.dim)]
+    for (i, j, k), c in cert.r.iter_nonzero():
+        ops[i] = ops[i] + (M.left[j] @ M.right[k]).scale(c)
+    rows = [{} for _ in range(A.dim * len(inv))]
+    for beta in range(M.dim):
+        e = [F.one if s == beta else F.zero for s in range(M.dim)]
+        # column i holds the coordinates of R2.e_beta.R3 over R1 = e_i
+        coords = coordinates_reference(F, inv, M.dim, [op.matvec(e) for op in ops])
+        for t, row in enumerate(coords.rows):
+            for i, v in row.items():
+                rows[i * len(inv) + t][beta] = v
+    return Matrix(F, A.dim * len(inv), M.dim, rows)
+
+
+def alpha_reference(M):
+    A, F = M.algebra, M.algebra.field
+    targets = []
+    for i in range(A.dim):
+        for u in invariants(M):
+            vec = [F.zero] * (A.dim * M.dim)
+            vec[i * M.dim:(i + 1) * M.dim] = u
+            targets.append(vec)
+    ext = extended_invariants(M)
+    return coordinates_reference(F, ext, A.dim * M.dim, targets)
+
+
+def eta_reference(A, d):
+    F = A.field
+    V = free_bimodule(A, d)
+    targets = []
+    for s in range(d):
+        vec = [F.zero] * V.dim
+        vec[s::d] = A.unit
+        targets.append(vec)
+    return coordinates_reference(F, invariants(V), V.dim, targets)
+
+
+def canonical_reference(M, m):
+    cols = [L.matvec(R.matvec(m)) for L in M.left for R in M.right]
+    return Matrix.from_columns(M.algebra.field, M.dim, cols)
+
+
+def dense_m2():
+    path = Path(__file__).parent / "data" / "m2_unitriangular.json"
+    return build_algebra_from_spec(json.loads(path.read_text()))
+
+
+ADJUNCTION_ALGEBRAS = [
+    lambda: build_matrix_algebra(2, QQ),
+    lambda: build_quaternion(-1, -1, QQ),
+    lambda: build_quaternion(2, 3, GF(7)),
+    lambda: build_matrix_algebra(2, GF(2)),
+    lambda: build_poly_quotient([0, 0, 1], QQ),
+    lambda: upper_triangular_2x2(QQ),
+    lambda: build_direct_sum(build_matrix_algebra(1, GF(5)), build_matrix_algebra(1, GF(5))),
+    dense_m2,
+]
+
+
+@pytest.mark.parametrize("build", ADJUNCTION_ALGEBRAS)
+def test_adjunction_maps_match_dense_reference(build):
+    A = build()
+    cert = solve_rmatrix(A)
+    rng = random.Random(A.dim)
+    for M in (regular_bimodule(A), square_bimodule(A), free_bimodule(A, 2)):
+        assert epsilon_map(M) == epsilon_reference(M), (A.label, M.label)
+        assert alpha_map(M) == alpha_reference(M), (A.label, M.label)
+        if cert is not None:
+            assert zeta_map(cert, M) == zeta_reference(cert, M), (A.label, M.label)
+        for m in ([A.field.coerce(rng.randrange(-3, 4)) for _ in range(M.dim)],
+                  [A.field.zero] * M.dim):
+            assert canonical_morphism(M, m) == canonical_reference(M, m), (A.label, M.label)
+    for d in (1, 2, 3):
+        assert adjunction_unit(A, d) == eta_reference(A, d), (A.label, d)
+
+
+def test_zeta_rejects_corrupted_certificate(m2):
+    # a changed coefficient sends some R2.m.R3 outside the invariants
+    bad = corrupted_cert(m2, matrix_closed_form(2, QQ))
+    with pytest.raises(NotWellDefined, match="image component is not invariant"):
+        zeta_map(bad, regular_bimodule(m2))
 
 
 def test_induced_map_rejects_non_map(m2):

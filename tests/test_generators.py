@@ -26,8 +26,7 @@ from rbraid import (
     validate_algebra,
 )
 from rbraid.bimodules import extended_invariants
-from rbraid.linalg import (_difference_echelon, _nullspace_ints, coordinates_in_span,
-                           nullspace_from_echelon)
+from rbraid.linalg import _difference_echelon, _nullspace_ints, nullspace_from_echelon
 from rbraid.rmatrix import pair_invariant_basis
 
 FIELDS = [QQ, GF(2), GF(3), GF(7)]
@@ -109,7 +108,7 @@ def change_basis(draw, A: Algebra) -> Algebra:
     P = Matrix(F, n, n, lower) @ Matrix(F, n, n, upper)
     cols = [[P.rows[i].get(a, F.zero) for i in range(n)] for a in range(n)]
     targets = [A.mul_coords(x, y) for x in cols for y in cols] + [A.unit]
-    coords = coordinates_in_span(F, cols, targets)
+    coords = [P.solve_affine(t).particular for t in targets]
     table = [[coords[a * n + b] for b in range(n)] for a in range(n)]
     return Algebra(F, table, coords[-1], label=f"changed({A.label})")
 

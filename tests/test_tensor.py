@@ -180,7 +180,7 @@ def test_act_leg_centralizing_example(m2, r_m2):
 def test_act_leg_unit_and_simple(m2):
     rng = random.Random(5)
     t = random_tensor(m2, 3, rng)
-    assert t.act_leg(1, m2.unit_element(), "left") == t
+    assert t.act_leg(1, m2.element(m2.unit), "left") == t
     a = m2.basis_element(2)
     u2 = unit_tensor(m2, 2)
     acted = u2.act_leg(1, a, "left")
