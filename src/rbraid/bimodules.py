@@ -23,6 +23,7 @@ from .linalg import (
     Matrix,
     _combination,
     _difference_echelon,
+    _int_matmul_kron,
     _nullspace_ints,
     nullspace_from_echelon,
 )
@@ -70,9 +71,8 @@ def square_bimodule(A: Algebra) -> Bimodule:
     """A (x) A with the outer actions a.(x (x) y).b = ax (x) yb."""
     cache = A._bimodules
     if "square" not in cache:
-        eye = Matrix.identity(A.field, A.dim)
-        left = [L.kron(eye) for L in A.left_mult_matrices()]
-        right = [eye.kron(R) for R in A.right_mult_matrices()]
+        left = [_kron_identity(L, A.dim) for L in A.left_mult_matrices()]
+        right = [_kron_identity(R, A.dim, inner=True) for R in A.right_mult_matrices()]
         cache["square"] = Bimodule(A, left, right, "square", lawful=True)
     return cache["square"]
 
@@ -84,9 +84,8 @@ def free_bimodule(A: Algebra, d: int) -> Bimodule:
     label = f"free({d})"
     cache = A._bimodules
     if label not in cache:
-        eye = Matrix.identity(A.field, d)
-        left = [L.kron(eye) for L in A.left_mult_matrices()]
-        right = [R.kron(eye) for R in A.right_mult_matrices()]
+        left = [_kron_identity(L, d) for L in A.left_mult_matrices()]
+        right = [_kron_identity(R, d) for R in A.right_mult_matrices()]
         cache[label] = Bimodule(A, left, right, label, lawful=True)
     return cache[label]
 
@@ -190,6 +189,36 @@ def _hstack(field: Field, blocks: list[Matrix]) -> Matrix:
     return Matrix._of(field, len(rows), base, rows, den)
 
 
+class _KronChain:
+    """The product, left to right, of Kronecker factors X (x) I_n and
+    I_n (x) X, one (X, n, inner) triple each (I_n on the left when
+    `inner`), never built: `Q @ chain` runs the integer rows of Q through
+    one factor at a time.  `induced_map` takes one as its ambient map."""
+
+    def __init__(self, *factors: tuple[Matrix, int, bool]):
+        shapes = [(X.nrows * n, X.ncols * n) for X, n, _ in factors]
+        if any(c != r for (_, c), (r, _) in zip(shapes, shapes[1:])):
+            raise ShapeMismatch(f"Kronecker factors of shapes {shapes} do not compose")
+        self.factors = factors
+        self.nrows, self.ncols = shapes[0][0], shapes[-1][1]
+
+    def __rmatmul__(self, Q: Matrix) -> Matrix:
+        if Q.ncols != self.nrows:
+            raise ShapeMismatch(f"{Q.ncols} cols vs {self.nrows} rows")
+        mod = Q.field.characteristic
+        rows, den = Q.ints, Q.den
+        for X, n, inner in self.factors:
+            Q.field.check_same(X.field)
+            rows = _int_matmul_kron(rows, X.ints, X.ncols, n, inner, mod)
+            den *= X.den
+        return Matrix._of(Q.field, Q.nrows, self.ncols, rows, den)
+
+
+def _kron_identity(X: Matrix, n: int, inner: bool = False) -> Matrix:
+    """X (x) I_n, or I_n (x) X when `inner`, as a matrix."""
+    return Matrix.identity(X.field, X.nrows * n) @ _KronChain((X, n, inner))
+
+
 class QuotientSpace:
     """Ambient space modulo a relation span, with canonical coordinates.
 
@@ -205,6 +234,7 @@ class QuotientSpace:
         self._ech = echelon
         self.free_cols = echelon.free_columns()
         self.dim = len(self.free_cols)
+        self._free_pos = {f: t for t, f in enumerate(self.free_cols)}
         self.factors = factors
         self.algebra = algebra
         self.label = label
@@ -249,13 +279,11 @@ class QuotientSpace:
             if self.factors is None or self.algebra is None:
                 raise RBraidError("this quotient carries no bimodule structure")
             M, N = self.factors
-            A = self.algebra
-            eye_m = Matrix.identity(self.field, M.dim)
-            eye_n = Matrix.identity(self.field, N.dim)
-            P, S = self.projection, self.section
-            left = [P @ M.left[i].kron(eye_n) @ S for i in range(A.dim)]
-            right = [P @ eye_m.kron(N.right[i]) @ S for i in range(A.dim)]
-            self._bimodule = Bimodule(A, left, right, label=self.label,
+            P = self.projection
+            # P (L (x) I) S and P (I (x) R) S
+            left = [_at_section(P @ _KronChain((L, N.dim, False)), self) for L in M.left]
+            right = [_at_section(P @ _KronChain((R, M.dim, True)), self) for R in N.right]
+            self._bimodule = Bimodule(self.algebra, left, right, label=self.label,
                                       lawful=M.lawful and N.lawful)
         return self._bimodule
 
@@ -310,10 +338,8 @@ class QuotientMap:
         return self.matrix == other.matrix
 
     def is_identity(self) -> bool:
-        return (
-            self.matrix.nrows == self.matrix.ncols
-            and self.matrix == Matrix.identity(self.matrix.field, self.matrix.nrows)
-        )
+        m = self.matrix
+        return m.nrows == m.ncols and all(r == {i: m.den} for i, r in enumerate(m.ints))
 
     def is_bijective(self) -> bool:
         return self.matrix.nrows == self.matrix.ncols and self.matrix.is_bijective()
@@ -322,10 +348,19 @@ class QuotientMap:
         return f"QuotientMap({self.source.label!r} -> {self.target.label!r})"
 
 
-def induced_map(source: QuotientSpace, target: QuotientSpace, ambient: Matrix,
+def _at_section(X: Matrix, space: QuotientSpace) -> Matrix:
+    """X @ space.section without the product: the columns of X at the
+    space's free columns, renumbered in order."""
+    pos = space._free_pos
+    rows = [{pos[j]: v for j, v in r.items() if j in pos} for r in X.ints]
+    return Matrix._of(X.field, X.nrows, space.dim, rows, X.den)
+
+
+def induced_map(source: QuotientSpace, target: QuotientSpace, ambient: Matrix | _KronChain,
                 what: str = "map") -> QuotientMap:
-    """Induce a quotient map from an ambient matrix, verifying that every
-    relation of the source is sent into the relation span of the target."""
+    """Induce a quotient map from an ambient matrix, or a product of
+    Kronecker factors with an identity, verifying that every relation of
+    the source is sent into the relation span of the target."""
     if ambient.nrows != target.ambient_dim or ambient.ncols != source.ambient_dim:
         raise ShapeMismatch(
             f"ambient map is {ambient.nrows}x{ambient.ncols}, ambients are "
@@ -336,17 +371,7 @@ def induced_map(source: QuotientSpace, target: QuotientSpace, ambient: Matrix,
     # relations, stacked as columns, vanish
     if not (projected_ambient @ _relations(source._ech).transpose()).is_zero():
         raise NotWellDefined(f"{what} does not preserve the balancing relations")
-    matrix = projected_ambient @ source.section
-    return QuotientMap(source, target, matrix)
-
-
-def swap_matrix(field: Field, dm: int, dn: int) -> Matrix:
-    """The flip M (x) N -> N (x) M on plain tensor coordinates."""
-    rows: list[dict] = [{} for _ in range(dm * dn)]
-    for alpha in range(dm):
-        for beta in range(dn):
-            rows[beta * dm + alpha][alpha * dn + beta] = 1
-    return Matrix._of(field, dm * dn, dm * dn, rows)
+    return QuotientMap(source, target, _at_section(projected_ambient, source))
 
 
 def _leg_sums(cert: RMatrixCertificate, Y: Bimodule, leg: int) -> dict[int, Matrix]:
@@ -368,12 +393,14 @@ def _r_operator(cert: RMatrixCertificate, Y: Bimodule, X: list[Matrix]) -> Matri
     factors: the operator of the braiding (X = M.right) and of the
     Yang-Baxter operator (X = V.left)."""
     F = Y.algebra.field
-    dx = X[0].nrows
+    dx, dy = X[0].nrows, Y.dim
     # grouped by the leg of X so only one Kronecker product per algebra
     # basis element is formed
-    big = _combination(F, Y.dim * dx, Y.dim * dx, (
+    big = _combination(F, dy * dx, dy * dx, (
         (F.one, op.kron(X[k])) for k, op in _leg_sums(cert, Y, 2).items()))
-    return big @ swap_matrix(F, dx, Y.dim)
+    # the flip sends column k of the sum to column (k % dx) * dy + k // dx
+    rows = [{(k % dx) * dy + k // dx: v for k, v in r.items()} for r in big.ints]
+    return Matrix._of(F, big.nrows, big.ncols, rows, big.den)
 
 
 def braiding_map(cert: RMatrixCertificate, M: Bimodule, N: Bimodule) -> QuotientMap:
@@ -394,21 +421,17 @@ def associator(M: Bimodule, N: Bimodule, P: Bimodule,
                inverse: bool = False) -> QuotientMap:
     """Canonical (M (x)_A N) (x)_A P -> M (x)_A (N (x)_A P), or with
     `inverse` the map back."""
-    F = M.algebra.field
     qmn = tensor_over_A(M, N)
     qnp = tensor_over_A(N, P)
     grouped_left = tensor_over_A(qmn.bimodule, P)
     grouped_right = tensor_over_A(M, qnp.bimodule)
-    eye_m = Matrix.identity(F, M.dim)
-    eye_p = Matrix.identity(F, P.dim)
     if inverse:
         src, dst = grouped_right, grouped_left
-        to_dst, from_src = qmn.projection.kron(eye_p), eye_m.kron(qnp.section)
+        chain = _KronChain((qmn.projection, P.dim, False), (qnp.section, M.dim, True))
     else:
         src, dst = grouped_left, grouped_right
-        to_dst, from_src = eye_m.kron(qnp.projection), qmn.section.kron(eye_p)
-    matrix = dst.projection @ to_dst @ from_src @ src.section
-    return QuotientMap(src, dst, matrix)
+        chain = _KronChain((qnp.projection, M.dim, True), (qmn.section, P.dim, False))
+    return QuotientMap(src, dst, _at_section(dst.projection @ chain, src))
 
 
 # -- adjunction machinery ---------------------------------------------------
@@ -447,8 +470,8 @@ def zeta_map(cert: RMatrixCertificate, M: Bimodule) -> Matrix:
 
 def _extended_echelon(M: Bimodule) -> Echelon:
     A = M.algebra
-    eye = Matrix.identity(A.field, A.dim)
-    pairs = ((eye.kron(M.left[i]), eye.kron(M.right[i]))
+    pairs = ((_kron_identity(M.left[i], A.dim, inner=True),
+              _kron_identity(M.right[i], A.dim, inner=True))
              for i in A.fixed_point_indices(M.lawful))
     return _difference_echelon(A.field, A.dim * M.dim, pairs)
 
@@ -463,10 +486,9 @@ def alpha_map(M: Bimodule) -> Matrix:
     """A (x) M^A -> (A (x) M)^(1 (x) A), a (x) m -> a (x) m, expressed on
     the two canonical invariant bases.  Bijective whenever the base is a
     field."""
-    F = M.algebra.field
     basis = _kernel_basis(_invariant_echelon(M)).transpose()
     return _kernel_coordinates(_extended_echelon(M),
-                               Matrix.identity(F, M.algebra.dim).kron(basis),
+                               _kron_identity(basis, M.algebra.dim, inner=True),
                                "a (x) m is not invariant under 1 (x) A")
 
 
@@ -475,7 +497,7 @@ def adjunction_unit(A: Algebra, d: int) -> Matrix:
     free bimodule."""
     one = Matrix.from_columns(A.field, A.dim, [A.unit])
     return _kernel_coordinates(_invariant_echelon(free_bimodule(A, d)),
-                               one.kron(Matrix.identity(A.field, d)),
+                               _kron_identity(one, d),
                                "1 (x) n is not invariant")
 
 
@@ -561,15 +583,12 @@ def audit_braiding(cert: RMatrixCertificate, M: Bimodule, N: Bimodule,
         return once(("associator", X, Y, Z, inverse),
                     lambda: associator(X, Y, Z, inverse=inverse))
 
-    def eye(X: Bimodule) -> Matrix:
-        return Matrix.identity(cert.algebra.field, X.dim)
-
     def whisker_left(X: Bimodule, Y: Bimodule, Z: Bimodule, what: str) -> QuotientMap:
         """X (x) c(Y,Z)."""
         return once(("X (x) c", X, Y, Z), lambda: induced_map(
             tensor_over_A(X, tensor_over_A(Y, Z).bimodule),
             tensor_over_A(X, tensor_over_A(Z, Y).bimodule),
-            eye(X).kron(braid(Y, Z).matrix),
+            _KronChain((braid(Y, Z).matrix, X.dim, True)),
             what=what,
         ))
 
@@ -578,7 +597,7 @@ def audit_braiding(cert: RMatrixCertificate, M: Bimodule, N: Bimodule,
         return once(("c (x) Z", X, Y, Z), lambda: induced_map(
             tensor_over_A(tensor_over_A(X, Y).bimodule, Z),
             tensor_over_A(tensor_over_A(Y, X).bimodule, Z),
-            braid(X, Y).matrix.kron(eye(Z)),
+            _KronChain((braid(X, Y).matrix, Z.dim, False)),
             what=what,
         ))
 
@@ -670,9 +689,13 @@ def audit_braiding(cert: RMatrixCertificate, M: Bimodule, N: Bimodule,
             return once(("canonical", X, tuple(x)), lambda: canonical_morphism(X, x))
 
         def product(X: Bimodule, x: list, Y: Bimodule, y: list, what: str) -> QuotientMap:
-            """f_x (x) f_y from the square of the square bimodule to X (x) Y."""
-            return once(("f (x) f", X, tuple(x), Y, tuple(y)), lambda: induced_map(
-                q_a2, tensor_over_A(X, Y), morphism(X, x).kron(morphism(Y, y)), what=what))
+            """f_x (x) f_y = (f_x (x) I)(I (x) f_y) from the square of the
+            square bimodule to X (x) Y."""
+            def build():
+                f, g = morphism(X, x), morphism(Y, y)
+                return induced_map(q_a2, tensor_over_A(X, Y),
+                                   _KronChain((f, Y.dim, False), (g, f.ncols, True)), what=what)
+            return once(("f (x) f", X, tuple(x), Y, tuple(y)), build)
 
         ok, witness = True, None
         for mi, mvec in enumerate(_naturality_samples(M)):
@@ -737,8 +760,12 @@ def monoidal_F_audit(cert: RMatrixCertificate, d1: int, d2: int) -> CheckReport:
     except NotWellDefined as exc:
         results.append(CheckResult("monoidal_symmetry", False, str(exc)))
         return CheckReport(results)
-    tau = Matrix.identity(F, A.dim).kron(swap_matrix(F, d1, d2))
-    lhs = tau @ phi12.matrix
+    # tau = I (x) (the switch of k^d1 and k^d2) relabels rows: row
+    # (u * d2 + b) * d1 + a of tau phi12 is row (u * d1 + a) * d2 + b of phi12
+    m = phi12.matrix
+    lhs = Matrix._of(F, m.nrows, m.ncols, [
+        m.ints[(u * d1 + a) * d2 + b] for u in range(A.dim) for b in range(d2) for a in range(d1)],
+        m.den)
     rhs = phi21.matrix @ sym.matrix
     ok = lhs == rhs
     results.append(

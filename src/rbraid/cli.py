@@ -60,14 +60,20 @@ BIMODULE_CHOICES = "regular, square or free:<d>"
 # are rejected before any recursion.
 MAX_SPEC_DEPTH = 64
 
-# No algebra or bimodule larger than this is built, even with --force:
-# the structure table alone holds dim**3 entries.
+# No algebra or named bimodule larger than this is built, even with
+# --force: the structure table alone holds dim**3 entries.
 MAX_BUILD_DIM = 64
 
 # An audit of M, N, P works in ambients of dimension dim M * dim N * dim P;
 # a larger product is refused before the solve unless --force is given.
 # The square bimodule of a dimension-4 algebra, cubed, is at the limit.
 MAX_AUDIT_DIM = 4096
+
+# The naturality check of an audit builds the square bimodule and works in
+# its tensor square, of dimension (dim A)**4, whatever the triple; a larger
+# one is refused before the solve unless --force is given.  M3's, 9**4, is
+# at the limit.
+_MAX_NATURALITY_DIM = 6561
 
 
 # -- input format -----------------------------------------------------------
@@ -347,6 +353,9 @@ def _cmd_audit(args, A: Algebra) -> tuple[bool, str, dict]:
     names = [t.strip() for t in args.triple.split(",")]
     if len(names) != 3:
         raise ParseError(f"--triple needs three entries, got {args.triple!r}")
+    if A.dim ** 4 > _MAX_NATURALITY_DIM and not args.force:
+        raise UnsupportedSize(f"naturality works on (dim A)^4 = {A.dim ** 4}, over the audit "
+                              f"limit {_MAX_NATURALITY_DIM} (lift with --force)")
     cert, (M, N, P) = _solve(args, A, names)
     report = audit_braiding(cert, M, N, P)
     payload = {"algebra": A.label, "triple": names, "checks": report.to_json()}

@@ -355,14 +355,6 @@ class Matrix:
         ech.extend(self.ints)  # the span of the rows does not see `den`
         return ech
 
-    def rref(self):
-        """Return (reduced row echelon form, rank, pivot columns)."""
-        ech = self._echelon()
-        pivots = ech.pivot_columns()
-        rows = [ech.rows[ech.pivots[p]] for p in pivots]
-        rows += [{} for _ in range(self.nrows - len(rows))]
-        return Matrix(self.field, self.nrows, self.ncols, rows), ech.rank, pivots
-
     def rank(self) -> int:
         return self._echelon().rank
 
@@ -527,6 +519,36 @@ def _int_matmul(a: IntRows, b: IntRows, mod: int) -> IntRows:
                 for j, y in b[k].items():
                     acc[j] = get(j, 0) + x * y
         # filtered row by row, so that one unfiltered row at a time is alive
+        if mod:
+            out.append({j: w for j, v in acc.items() if (w := v % mod)})
+        else:
+            out.append({j: v for j, v in acc.items() if v})
+    return out
+
+
+def _int_matmul_kron(a: IntRows, b: IntRows, bcols: int, n: int, inner: bool,
+                     mod: int) -> IntRows:
+    """Sparse product of integer rows a and b (x) I_n, or I_n (x) b when
+    `inner` (b having `bcols` columns), without building the Kronecker
+    product: an entry x at column k of a meets one row of b, spread to the
+    columns j*n + s of b (x) I_n for k = i*n + s, or shifted to the columns
+    u*bcols + j of I_n (x) b for k = u*len(b) + i.  Reduction and zeros
+    as in `_int_matmul`."""
+    nb = len(b)
+    out = []
+    for ra in a:
+        acc: dict = {}
+        get = acc.get
+        for k, x in ra.items():
+            if inner:
+                u, i = divmod(k, nb)
+                step, base = 1, u * bcols
+            else:
+                i, base = divmod(k, n)
+                step = n
+            for j, y in b[i].items():
+                c = j * step + base
+                acc[c] = get(c, 0) + x * y
         if mod:
             out.append({j: w for j, v in acc.items() if (w := v % mod)})
         else:

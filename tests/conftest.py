@@ -8,6 +8,7 @@ from hypothesis import settings
 
 from rbraid import (
     Algebra,
+    Matrix,
     build_direct_sum,
     build_matrix_algebra,
     build_poly_quotient,
@@ -87,3 +88,14 @@ def unitriangular_basis(A: Algebra, seed: int) -> Algebra:
 
     table = [[coords(A.mul_coords(cols[a], cols[b])) for b in range(n)] for a in range(n)]
     return Algebra(F, table, coords(A.unit), label=f"unitriangular({A.label}, {seed})")
+
+
+def swap_matrix(field, dm: int, dn: int) -> Matrix:
+    """The flip M (x) N -> N (x) M on plain tensor coordinates, as an
+    explicit matrix: the reference for the flip that `bimodules` applies
+    as a column relabelling."""
+    rows = [{} for _ in range(dm * dn)]
+    for alpha in range(dm):
+        for beta in range(dn):
+            rows[beta * dm + alpha][alpha * dn + beta] = field.one
+    return Matrix(field, dm * dn, dm * dn, rows)

@@ -2,9 +2,11 @@
 import json
 import random
 from fractions import Fraction
+from functools import cache
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rbraid import (
     GF,
@@ -40,14 +42,18 @@ from rbraid import bimodules
 from rbraid.bimodules import (
     QuotientMap,
     QuotientSpace,
+    _KronChain,
+    _r_operator,
+    associator,
     extended_invariants,
     induced_map,
     is_bimodule_map,
-    swap_matrix,
 )
+from rbraid.checks import CheckReport
+from rbraid.rmatrix import RMatrixCertificate
 from rbraid.cli import build_algebra_from_spec
 from rbraid.errors import NotWellDefined, ShapeMismatch
-from conftest import upper_triangular_2x2
+from conftest import swap_matrix, unitriangular_basis, upper_triangular_2x2
 
 
 def with_coefficient(r, digits, value):
@@ -548,6 +554,14 @@ def test_audit_bytes_same_with_repeated_operands(algebra, kinds, which):
             assert entries(shared) == expected[which]
 
 
+def ambient_key(ambient):
+    """The entries of an ambient map given to `induced_map`: a Matrix, or
+    the (X, n, inner) factors of a product of Kronecker factors."""
+    if isinstance(ambient, Matrix):
+        return ambient.den, repr(ambient.ints)
+    return tuple((X.den, repr(X.ints), n, inner) for X, n, inner in ambient.factors)
+
+
 def test_audit_builds_each_map_once(monkeypatch):
     # square^3 passes one bimodule three times: every derived map is built
     # once per distinct operands, never once per call site
@@ -567,7 +581,7 @@ def test_audit_builds_each_map_once(monkeypatch):
 
     counting("associator", lambda M, N, P, inverse=False: (id(M), id(N), id(P), inverse))
     counting("induced_map", lambda source, target, ambient, what="map":
-             (id(source), id(target), ambient.den, repr(ambient.ints)))
+             (id(source), id(target), ambient_key(ambient)))
     counting("braiding_map", lambda cert, M, N: (id(M), id(N)))
     counting("canonical_morphism", lambda M, m: (id(M), tuple(m)))
     report = audit_braiding(cert, sq, sq, sq)
@@ -608,3 +622,157 @@ def test_monoidal_audit(m2, cert):
 def test_monoidal_audit_quaternion():
     cert = solve_rmatrix(build_quaternion(-1, -1, QQ))
     assert monoidal_F_audit(cert, 2, 2).passed
+
+
+# -- the index-map paths against the explicit products ------------------------
+#
+# `bimodules` applies the flip as a column relabelling, the section as a
+# column selection and every Kronecker product with an identity factor
+# through `_KronChain`; the references below build each of those matrices
+# and multiply, as the code once did.
+
+STRUCTURED_ALGEBRAS = {
+    "M2/Q": lambda: build_matrix_algebra(2, QQ),
+    "M2/GF(5)": lambda: build_matrix_algebra(2, GF(5)),
+    "H(-1,-1)/Q": lambda: build_quaternion(-1, -1, QQ),
+    "H(-1,-1)/GF(7)": lambda: build_quaternion(-1, -1, GF(7)),
+    "dense M2/Q": dense_m2,
+    "dense M2/GF(7)": lambda: unitriangular_basis(build_matrix_algebra(2, GF(7)), 3),
+}
+KINDS = ["regular", "square", "free:1", "free:2", "free:3"]
+
+
+@cache
+def solved(name):
+    A = STRUCTURED_ALGEBRAS[name]()
+    return A, solve_rmatrix(A)
+
+
+def bimodule_of(A, kind):
+    if kind == "regular":
+        return regular_bimodule(A)
+    if kind == "square":
+        return square_bimodule(A)
+    return free_bimodule(A, int(kind[len("free:"):]))
+
+
+def eye(F, n):
+    return Matrix.identity(F, n)
+
+
+def reference_induced(source, target, ambient, what):
+    """`induced_map` with the relation check and the section as explicit
+    matrix products; the induced matrix, or the NotWellDefined witness."""
+    F = source.field
+    relations = Matrix(F, len(source.relation_rows()), source.ambient_dim,
+                       [dict(r) for r in source.relation_rows()])
+    projected = target.projection @ ambient
+    if not (projected @ relations.transpose()).is_zero():
+        return f"{what} does not preserve the balancing relations"
+    return projected @ source.section
+
+
+def outcome(build):
+    """What `build()` gives: its matrix, or the witness of NotWellDefined."""
+    try:
+        return build().matrix
+    except NotWellDefined as exc:
+        return str(exc)
+
+
+def reference_r_operator(cert, Y, X):
+    """sum c * (Y.left[i] Y.right[j]) (x) X[k] over the terms of R, times
+    the explicit flip."""
+    F = Y.algebra.field
+    dx = X[0].nrows
+    total = Matrix.zeros(F, Y.dim * dx, Y.dim * dx)
+    for (i, j, k), c in cert.r.iter_nonzero():
+        total = total + (Y.left[i] @ Y.right[j]).kron(X[k]).scale(c)
+    return total @ swap_matrix(F, dx, Y.dim)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.sampled_from(sorted(STRUCTURED_ALGEBRAS)), st.sampled_from(KINDS),
+       st.sampled_from(KINDS), st.sampled_from(["regular", "free:1", "free:2"]),
+       st.integers(0, 2 ** 32))
+def test_index_map_paths_match_explicit_products(name, m, n, p, seed):
+    A, cert = solved(name)
+    F = A.field
+    M, N, P = (bimodule_of(A, kind) for kind in (m, n, p))
+    qmn, qnm = tensor_over_A(M, N), tensor_over_A(N, M)
+    # the quotient actions P (L (x) I) S and P (I (x) R) S
+    for i in range(A.dim):
+        assert qmn.bimodule.left[i] == qmn.projection @ M.left[i].kron(eye(F, N.dim)) @ qmn.section
+        assert qmn.bimodule.right[i] == (
+            qmn.projection @ eye(F, M.dim).kron(N.right[i]) @ qmn.section)
+    # the flip, and the braiding it induces
+    assert _r_operator(cert, N, M.right) == reference_r_operator(cert, N, M.right)
+    c = braiding_map(cert, M, N)
+    assert c.matrix == reference_induced(qmn, qnm, reference_r_operator(cert, N, M.right), "c")
+    # the whiskers P (x) c(M,N) and c(M,N) (x) P
+    src = tensor_over_A(P, qmn.bimodule)
+    dst = tensor_over_A(P, qnm.bimodule)
+    assert outcome(lambda: induced_map(src, dst, _KronChain((c.matrix, P.dim, True)), "w")) == (
+        reference_induced(src, dst, eye(F, P.dim).kron(c.matrix), "w"))
+    src = tensor_over_A(qmn.bimodule, P)
+    dst = tensor_over_A(qnm.bimodule, P)
+    assert outcome(lambda: induced_map(src, dst, _KronChain((c.matrix, P.dim, False)), "w")) == (
+        reference_induced(src, dst, c.matrix.kron(eye(F, P.dim)), "w"))
+    # both associators
+    qnp = tensor_over_A(N, P)
+    grouped_left = tensor_over_A(qmn.bimodule, P)
+    grouped_right = tensor_over_A(M, qnp.bimodule)
+    assert associator(M, N, P).matrix == (
+        grouped_right.projection @ eye(F, M.dim).kron(qnp.projection)
+        @ qmn.section.kron(eye(F, P.dim)) @ grouped_left.section)
+    assert associator(M, N, P, inverse=True).matrix == (
+        grouped_left.projection @ qmn.projection.kron(eye(F, P.dim))
+        @ eye(F, M.dim).kron(qnp.section) @ grouped_right.section)
+    # a naturality map f (x) g = (f (x) I)(I (x) g) from the square of the
+    # square bimodule, on random samples
+    rng = random.Random(seed)
+    f, g = (canonical_morphism(X, [F.coerce(rng.randrange(-2, 3)) for _ in range(X.dim)])
+            for X in (M, N))
+    chain = _KronChain((f, N.dim, False), (g, f.ncols, True))
+    assert (chain.nrows, chain.ncols) == (M.dim * N.dim, f.ncols * g.ncols)
+    assert qmn.projection @ chain == qmn.projection @ f.kron(g)
+    sq = square_bimodule(A)
+    q_a2 = tensor_over_A(sq, sq)
+    assert outcome(lambda: induced_map(q_a2, qmn, chain, "f (x) g")) == (
+        reference_induced(q_a2, qmn, f.kron(g), "f (x) g"))
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.sampled_from(sorted(STRUCTURED_ALGEBRAS)), st.sampled_from(KINDS),
+       st.sampled_from(["regular", "free:1", "free:2"]), st.data())
+def test_perturbed_maps_fail_where_explicit_products_fail(name, m, p, data):
+    # a perturbed certificate, and a perturbed braiding matrix under a
+    # whisker, each fail exactly where the explicit products fail, with
+    # the same witness
+    A, cert = solved(name)
+    F = A.field
+    M, P = bimodule_of(A, m), bimodule_of(A, p)
+    n = A.dim
+    digits = tuple(data.draw(st.integers(0, n - 1)) for _ in range(3))
+    delta = F.coerce(data.draw(st.integers(1, 3)))
+    bad = RMatrixCertificate(
+        A, with_coefficient(cert.r, digits, F.add(cert.r.coefficient(digits), delta)),
+        CheckReport([]))
+    qmp, qpm = tensor_over_A(M, P), tensor_over_A(P, M)
+    assert outcome(lambda: braiding_map(bad, M, P)) == reference_induced(
+        qmp, qpm, reference_r_operator(bad, P, M.right),
+        "braiding")
+    c = braiding_map(cert, M, P).matrix
+    i, j = (data.draw(st.integers(0, d - 1)) for d in (c.nrows, c.ncols))
+    bump = Matrix(F, c.nrows, c.ncols, [{j: delta} if r == i else {} for r in range(c.nrows)])
+    bad_c = c + bump
+    src = tensor_over_A(P, qmp.bimodule)
+    dst = tensor_over_A(P, qpm.bimodule)
+    what = "P (x) c(M,P)"
+    assert outcome(lambda: induced_map(src, dst, _KronChain((bad_c, P.dim, True)), what)) == (
+        reference_induced(src, dst, eye(F, P.dim).kron(bad_c), what))
+    src = tensor_over_A(qmp.bimodule, P)
+    dst = tensor_over_A(qpm.bimodule, P)
+    what = "c(M,P) (x) P"
+    assert outcome(lambda: induced_map(src, dst, _KronChain((bad_c, P.dim, False)), what)) == (
+        reference_induced(src, dst, bad_c.kron(eye(F, P.dim)), what))

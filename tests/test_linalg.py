@@ -30,30 +30,42 @@ def to_dense(m):
     return [[entry(m, i, j) for j in range(m.ncols)] for i in range(m.nrows)]
 
 
+def reduced(m):
+    """(reduced row echelon rows in pivot order, rank, pivot columns) of
+    the rows of m, through `Echelon`."""
+    ech = Echelon(m.field, m.ncols)
+    ech.extend(m.ints)
+    pivots = ech.pivot_columns()
+    return [ech.rows[ech.pivots[p]] for p in pivots], ech.rank, pivots
+
+
 def test_rref_identity():
     m = Matrix.identity(QQ, 3)
-    r, rank, pivots = m.rref()
-    assert r == m and rank == 3 and pivots == (0, 1, 2)
+    rows, rank, pivots = reduced(m)
+    assert rows == m.rows and rank == m.rank() == 3 and pivots == (0, 1, 2)
+    assert m.nullspace() == []
 
 
 def test_rref_zero():
     m = Matrix.zeros(QQ, 2, 3)
-    r, rank, pivots = m.rref()
-    assert r.is_zero() and rank == 0 and pivots == ()
+    rows, rank, pivots = reduced(m)
+    assert rows == [] and rank == m.rank() == 0 and pivots == ()
+    assert m.nullspace() == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
 
 
 def test_rref_rank_one():
     m = mat([[1, 2], [2, 4]])
-    r, rank, pivots = m.rref()
-    assert rank == 1 and pivots == (0,)
-    assert to_dense(r) == [[1, 2], [0, 0]]
+    rows, rank, pivots = reduced(m)
+    assert rank == m.rank() == 1 and pivots == (0,)
+    assert rows == [{0: 1, 1: 2}]
+    assert m.nullspace() == [[-2, 1]]
 
 
 def test_rref_idempotent():
     m = mat([[2, 4, 1], [1, 2, 3], [0, 1, 1]])
-    r1, rank1, piv1 = m.rref()
-    r2, rank2, piv2 = r1.rref()
-    assert r1 == r2 and rank1 == rank2 and piv1 == piv2
+    rows1, rank1, piv1 = reduced(m)
+    rows2, rank2, piv2 = reduced(Matrix(QQ, len(rows1), m.ncols, rows1))
+    assert rows1 == rows2 and rank1 == rank2 == m.rank() and piv1 == piv2
 
 
 def test_nullspace_invertible_empty():
@@ -158,10 +170,9 @@ def test_rref_idempotent_random(nrows, ncols, data):
                  min_size=nrows, max_size=nrows)
     )
     m = mat(rows)
-    r1, rank, piv = m.rref()
-    r2, rank2, piv2 = r1.rref()
-    assert (r1, rank, piv) == (r2, rank2, piv2)
-    assert len(m.nullspace()) == ncols - rank
+    rows1, rank, piv = reduced(m)
+    assert (rows1, rank, piv) == reduced(Matrix(QQ, len(rows1), ncols, rows1))
+    assert rank == m.rank() and len(m.nullspace()) == ncols - rank
 
 
 @given(st.integers(2, 4), st.data())

@@ -22,9 +22,9 @@ from rbraid import (
     square_bimodule,
     unit_tensor,
 )
-from rbraid.bimodules import swap_matrix
 from rbraid.errors import UnsupportedSize, UnverifiedCertificate
 from rbraid.yangbaxter import YBOperator
+from conftest import swap_matrix
 
 
 @pytest.fixture(scope="module")
