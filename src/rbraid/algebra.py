@@ -1,7 +1,9 @@
 """Finite-dimensional associative unital algebras given by structure constants.
 
-An algebra of dimension n over an exact field stores the full table
-c[i][j][k] with e_i * e_j = sum_k c[i][j][k] e_k together with the
+An algebra of dimension n over an exact field stores its structure
+constants once, as one sparse integer table: the nonzero terms (k, c) of
+each product e_i * e_j = sum_k (c / scale) e_k, over one least common
+denominator `scale` (residues over 1 in GF(p)), together with the
 coordinates of the unit.  Builders cover matrix algebras, generalized
 quaternion algebras, polynomial quotients, tensor products, opposites and
 direct sums; `validate_algebra` machine-checks associativity and the unit
@@ -13,6 +15,8 @@ relations) is cut out by the generators' actions alone.
 """
 from __future__ import annotations
 
+from math import gcd, lcm
+
 from .checks import CheckReport, CheckResult
 from .errors import (
     AlgebraMismatch,
@@ -23,12 +27,13 @@ from .errors import (
     ShapeMismatch,
 )
 from .fields import Field
-from .linalg import (Echelon, Matrix, _difference_echelon, _to_ints,
+from .linalg import (Echelon, Matrix, _difference_echelon, _reduced, _to_ints,
                      nullspace_from_echelon)
 
 
 class Algebra:
-    """Structure-constant algebra over an exact field.
+    """Structure-constant algebra over an exact field, from the dense table
+    table[i][j][k], the coefficient of e_k in e_i * e_j.
 
     Instances are immutable after construction; validation state and the
     left/right multiplication operators are cached lazily.
@@ -46,33 +51,41 @@ class Algebra:
                     raise ShapeMismatch(f"table[{i}][{j}] has length {len(row)}")
         if len(unit) != dim:
             raise ShapeMismatch(f"unit has length {len(unit)}, expected {dim}")
+        mod = field.characteristic
+        rows = [{k: c for k, c in enumerate(r) if c} for p in table for r in p]
+        flat, scale = ([_reduced(r, mod) for r in rows], 1) if mod else _to_ints(rows)
+        products = [[tuple(flat[i * dim + j].items()) for j in range(dim)] for i in range(dim)]
+        self._setup(field, products, scale, unit, label)
+
+    @classmethod
+    def _of(cls, field: Field, products, scale: int, unit, label: str) -> "Algebra":
+        """The algebra of the structure constants `products` over `scale`, in
+        the form of `_int_products`, taking ownership of `products`; the
+        common factor of the constants and `scale` is divided out."""
+        g = 1 if scale == 1 else gcd(scale, *(c for p in products for t in p for _, c in t))
+        if g != 1:
+            scale //= g
+            products = [[tuple((k, c // g) for k, c in t) for t in p] for p in products]
+        A = object.__new__(cls)
+        A._setup(field, products, scale, unit, label)
+        return A
+
+    def _setup(self, field: Field, products, scale: int, unit, label: str) -> None:
         self.field = field
-        self.dim = dim
-        self.table = [[list(row) for row in plane] for plane in table]
+        self.dim = len(products)
         self.unit = list(unit)
         self.label = label
-        # basis_products[i][j] = tuple of (k, c_ijk) nonzeros
-        self.basis_products = [
-            [tuple((k, c) for k, c in enumerate(row) if c) for row in plane]
-            for plane in self.table
-        ]
-        self._int_prods: tuple | None = None
+        self._int_prods = products, field.characteristic, scale
         self._generators: tuple[int, ...] | None = None
         self._left_mats: list[Matrix] | None = None
         self._right_mats: list[Matrix] | None = None
         self._validation: CheckReport | None = None
-        self._commutative: bool | None = None
         self._bimodules: dict = {}  # label -> Bimodule, filled by `bimodules`
 
     def _int_products(self):
-        """`basis_products` on integers: (products, characteristic, scale)
-        with each constant times `scale`; residues over 1 in GF(p) (cached)."""
-        if self._int_prods is None:
-            n, prods, scale = self.dim, self.basis_products, 1
-            if not self.field.characteristic:  # residues need no conversion
-                flat, scale = _to_ints([dict(t) for plane in prods for t in plane])
-                prods = [[tuple(flat[i * n + j].items()) for j in range(n)] for i in range(n)]
-            self._int_prods = prods, self.field.characteristic, scale
+        """(products, characteristic, scale): products[i][j] holds the (k, c)
+        pairs of e_i * e_j in ascending k, each constant times `scale` (the
+        least common denominator) with zeros dropped; residues over 1 in GF(p)."""
         return self._int_prods
 
     def generators(self) -> tuple[int, ...]:
@@ -132,7 +145,7 @@ class Algebra:
             and self.field == other.field
             and self.dim == other.dim
             and self.unit == other.unit
-            and self.table == other.table
+            and self._int_prods == other._int_prods
         )
 
     def check_same(self, other: "Algebra") -> None:
@@ -154,6 +167,7 @@ class Algebra:
 
     def mul_coords(self, x, y):
         F = self.field
+        prods, _, scale = self._int_prods
         out = [F.zero] * self.dim
         for i, xi in enumerate(x):
             if not xi:
@@ -162,8 +176,10 @@ class Algebra:
                 if not yj:
                     continue
                 c = F.mul(xi, yj)
-                for k, ck in self.basis_products[i][j]:
+                for k, ck in prods[i][j]:
                     out[k] = F.add(out[k], F.mul(c, ck))
+        if scale != 1:
+            out = [F.div(v, F.from_int(scale)) for v in out]
         return out
 
     # -- cached operators ----------------------------------------------------
@@ -195,13 +211,8 @@ class Algebra:
         return mats
 
     def is_commutative(self) -> bool:
-        if self._commutative is None:
-            self._commutative = all(
-                self.table[i][j] == self.table[j][i]
-                for i in range(self.dim)
-                for j in range(i + 1, self.dim)
-            )
-        return self._commutative
+        prods = self._int_prods[0]
+        return prods == [list(column) for column in zip(*prods)]
 
 
 class AlgebraElement:
@@ -279,8 +290,7 @@ def validate_algebra(algebra: Algebra) -> CheckReport:
     unit_ok = True
     witness = None
     for i in range(algebra.dim):
-        e = [F.zero] * algebra.dim
-        e[i] = F.one
+        e = algebra.basis_element(i).coords
         lhs = algebra.mul_coords(algebra.unit, e)
         rhs = algebra.mul_coords(e, algebra.unit)
         if lhs != e:
@@ -343,24 +353,14 @@ def center(algebra: Algebra):
 
 
 def build_matrix_algebra(n: int, field: Field) -> Algebra:
-    """M_n over `field`; basis is the matrix units in row-major order."""
+    """M_n over `field`; basis is the matrix units in row-major order, with
+    e_ij * e_kl = delta_jk e_il."""
     if n < 1:
         raise ShapeMismatch("matrix size must be >= 1")
-    dim = n * n
-    F = field
-    table = [[[F.zero] * dim for _ in range(dim)] for _ in range(dim)]
-    for i in range(n):
-        for j in range(n):
-            a = i * n + j
-            for k in range(n):
-                for l in range(n):
-                    b = k * n + l
-                    if j == k:
-                        table[a][b][i * n + l] = F.one
-    unit = [F.zero] * dim
-    for i in range(n):
-        unit[i * n + i] = F.one
-    return Algebra(F, table, unit, label=f"matrix({n})/{field!r}")
+    products = [[((i * n + l, 1),) if j == k else () for k in range(n) for l in range(n)]
+                for i in range(n) for j in range(n)]
+    unit = [field.one if a % (n + 1) == 0 else field.zero for a in range(n * n)]  # the e_ii
+    return Algebra._of(field, products, 1, unit, label=f"matrix({n})/{field!r}")
 
 
 def _quat_word(index: int) -> str:
@@ -453,52 +453,38 @@ def build_tensor_product(A: Algebra, B: Algebra) -> Algebra:
     if A.field != B.field:
         raise FieldMismatch(f"{A.field!r} vs {B.field!r}")
     F = A.field
+    pa, mod, sa = A._int_products()
+    pb, _, sb = B._int_products()
     nA, nB = A.dim, B.dim
-    dim = nA * nB
-    table = [[[F.zero] * dim for _ in range(dim)] for _ in range(dim)]
-    for i in range(nA):
-        for j in range(nB):
-            x = i * nB + j
-            for k in range(nA):
-                for l in range(nB):
-                    y = k * nB + l
-                    row = table[x][y]
-                    for c1, v1 in A.basis_products[i][k]:
-                        for c2, v2 in B.basis_products[j][l]:
-                            row[c1 * nB + c2] = F.add(row[c1 * nB + c2], F.mul(v1, v2))
-    unit = [F.zero] * dim
-    for i, ui in enumerate(A.unit):
-        if ui == F.zero:
-            continue
-        for j, uj in enumerate(B.unit):
-            if uj != F.zero:
-                unit[i * nB + j] = F.mul(ui, uj)
-    return Algebra(F, table, unit, label=f"tensor({A.label},{B.label})")
+
+    def leg(ta, tb):
+        return tuple((k * nB + l, v * w % mod if mod else v * w)
+                     for k, v in ta for l, w in tb)
+
+    products = [[leg(pa[i][k], pb[j][l]) for k in range(nA) for l in range(nB)]
+                for i in range(nA) for j in range(nB)]
+    unit = [F.mul(x, y) for x in A.unit for y in B.unit]
+    return Algebra._of(F, products, sa * sb, unit, label=f"tensor({A.label},{B.label})")
 
 
 def opposite(A: Algebra) -> Algebra:
-    """Same space, reversed multiplication: c_op[i][j][k] = c[j][i][k]."""
-    table = [
-        [list(A.table[j][i]) for j in range(A.dim)] for i in range(A.dim)
-    ]
-    return Algebra(A.field, table, A.unit, label=f"op({A.label})")
+    """Same space, reversed multiplication: e_i *_op e_j = e_j e_i."""
+    prods, _, scale = A._int_products()
+    products = [[prods[j][i] for j in range(A.dim)] for i in range(A.dim)]
+    return Algebra._of(A.field, products, scale, A.unit, label=f"op({A.label})")
 
 
 def build_direct_sum(A: Algebra, B: Algebra) -> Algebra:
     """Block-diagonal product algebra A (+) B with unit (1_A, 1_B)."""
     if A.field != B.field:
         raise FieldMismatch(f"{A.field!r} vs {B.field!r}")
-    F = A.field
+    pa, _, sa = A._int_products()
+    pb, _, sb = B._int_products()
     nA, nB = A.dim, B.dim
-    dim = nA + nB
-    table = [[[F.zero] * dim for _ in range(dim)] for _ in range(dim)]
-    for i in range(nA):
-        for j in range(nA):
-            for k, c in A.basis_products[i][j]:
-                table[i][j][k] = c
-    for i in range(nB):
-        for j in range(nB):
-            for k, c in B.basis_products[i][j]:
-                table[nA + i][nA + j][nA + k] = c
+    scale = lcm(sa, sb)
+    ua, ub = scale // sa, scale // sb
+    products = ([[tuple((k, c * ua) for k, c in t) for t in p] + [()] * nB for p in pa]
+                + [[()] * nA + [tuple((nA + k, c * ub) for k, c in t) for t in p] for p in pb])
     unit = list(A.unit) + list(B.unit)
-    return Algebra(F, table, unit, label=f"direct_sum({A.label},{B.label})")
+    return Algebra._of(A.field, products, scale, unit,
+                       label=f"direct_sum({A.label},{B.label})")

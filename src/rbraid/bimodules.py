@@ -99,8 +99,10 @@ def check_bimodule(M: Bimodule) -> CheckReport:
     n = A.dim
     results = []
 
-    def expect(actions, products):
-        return _combination(F, M.dim, M.dim, ((c, actions[k]) for k, c in products))
+    def expect(actions, terms, den=1):
+        """sum c * actions[k] / den over the (k, c) pairs of `terms`."""
+        m = _combination(F, M.dim, M.dim, ((c, actions[k]) for k, c in terms))
+        return Matrix._of(F, M.dim, M.dim, m.ints, m.den * den)
 
     eye = Matrix.identity(F, M.dim)
     unit = [(i, c) for i, c in enumerate(A.unit) if c]
@@ -112,11 +114,12 @@ def check_bimodule(M: Bimodule) -> CheckReport:
 
     # (name, witness prefix, holds on (e_i, e_j)); one row-major scan finds
     # the first failing pair of each law
+    prods, _, scale = A._int_products()
     laws = [
         ("representation", "left action fails on",
-         lambda i, j: M.left[i] @ M.left[j] == expect(M.left, A.basis_products[i][j])),
+         lambda i, j: M.left[i] @ M.left[j] == expect(M.left, prods[i][j], scale)),
         ("anti_representation", "right action fails on",
-         lambda i, j: M.right[i] @ M.right[j] == expect(M.right, A.basis_products[j][i])),
+         lambda i, j: M.right[i] @ M.right[j] == expect(M.right, prods[j][i], scale)),
         ("actions_commute", "actions do not commute on",
          lambda i, j: M.left[i] @ M.right[j] == M.right[j] @ M.left[i]),
     ]

@@ -85,6 +85,13 @@ def _expect_dict(obj, where: str) -> dict:
     return obj
 
 
+def _expect_list(obj, where: str) -> list:
+    # a JSON string or object would be iterated as characters or keys
+    if not isinstance(obj, list):
+        raise ParseError(f"{where}: expected a list, got {type(obj).__name__}")
+    return obj
+
+
 def _expect_int(value, where: str) -> int:
     # bool is a subclass of int, and JSON floats such as 2.9 must not be
     # truncated, so only a plain int passes
@@ -179,10 +186,13 @@ def _build_algebra(field: Field, obj, where: str) -> Algebra:
             return opposite(_build_algebra(field, obj["of"], where + ".of"))
         if kind == "custom":
             dim = _expect_size(obj["dim"], where + ".dim")
-            unit = [_scalar(field, c, where + ".unit") for c in obj["unit"]]
+            unit = [_scalar(field, c, where + ".unit")
+                    for c in _expect_list(obj["unit"], where + ".unit")]
             table = [
-                [[_scalar(field, c, where + ".table") for c in row] for row in plane]
-                for plane in obj["table"]
+                [[_scalar(field, c, where + ".table")
+                  for c in _expect_list(row, f"{where}.table[{i}][{j}]")]
+                 for j, row in enumerate(_expect_list(plane, f"{where}.table[{i}]"))]
+                for i, plane in enumerate(_expect_list(obj["table"], where + ".table"))
             ]
             if len(table) != dim:
                 raise ParseError(f"{where}.table: {len(table)} planes for dim {dim}")

@@ -99,3 +99,100 @@ def swap_matrix(field, dm: int, dn: int) -> Matrix:
         for beta in range(dn):
             rows[beta * dm + alpha][alpha * dn + beta] = field.one
     return Matrix(field, dm * dn, dm * dn, rows)
+
+
+def dense_table(A: Algebra):
+    """table[i][j][k], the coefficient of e_k in e_i * e_j, read off
+    `mul_coords` on basis pairs."""
+    e = [A.basis_element(i).coords for i in range(A.dim)]
+    return [[A.mul_coords(x, y) for y in e] for x in e]
+
+
+# -- dense reference builders: each returns (table, unit), every structure
+# constant written into an n^3 table of field values
+
+
+def nonzero_terms(table):
+    """The (k, c) nonzeros of each product of a dense table."""
+    return [[[(k, c) for k, c in enumerate(row) if c] for row in plane] for plane in table]
+
+
+def _zeros(F, dim):
+    return [[[F.zero] * dim for _ in range(dim)] for _ in range(dim)]
+
+
+def reference_matrix_algebra(n: int, F):
+    dim = n * n
+    table = _zeros(F, dim)
+    for i in range(n):
+        for j in range(n):
+            for l in range(n):
+                table[i * n + j][j * n + l][i * n + l] = F.one
+    return table, [F.one if a % (n + 1) == 0 else F.zero for a in range(dim)]
+
+
+def reference_quaternion(a, b, F):
+    """The closed-form products of 1, i, j, k = ij: i^2 = a, j^2 = b,
+    k^2 = -ab, ik = -ki = a j, kj = -jk = b i, ij = -ji = k."""
+    table = _zeros(F, 4)
+    ab = F.mul(a, b)
+    for x in range(4):
+        table[0][x][x] = table[x][0][x] = F.one
+    for x, y, k, c in ((1, 1, 0, a), (2, 2, 0, b), (3, 3, 0, F.neg(ab)),
+                       (1, 2, 3, F.one), (2, 1, 3, F.neg(F.one)),
+                       (1, 3, 2, a), (3, 1, 2, F.neg(a)),
+                       (3, 2, 1, b), (2, 3, 1, F.neg(b))):
+        table[x][y][k] = c
+    return table, [F.one, F.zero, F.zero, F.zero]
+
+
+def reference_poly_quotient(coeffs, F):
+    """x^i * x^j = the remainder of x^(i+j) by long division by the monic
+    polynomial with ascending coefficients `coeffs`."""
+    d = len(coeffs) - 1
+
+    def remainder(t):
+        rem = [F.zero] * t + [F.one]
+        for top in range(t, d - 1, -1):
+            c = rem[top]
+            for s in range(d + 1):
+                rem[top - d + s] = F.sub(rem[top - d + s], F.mul(c, coeffs[s]))
+        return (rem + [F.zero] * d)[:d]
+
+    table = [[remainder(i + j) for j in range(d)] for i in range(d)]
+    return table, [F.one] + [F.zero] * (d - 1)
+
+
+def reference_tensor_product(F, a, b):
+    (ta, ua), (tb, ub) = a, b
+    nA, nB = len(ua), len(ub)
+    pa, pb = nonzero_terms(ta), nonzero_terms(tb)
+    table = _zeros(F, nA * nB)
+    for i in range(nA):
+        for j in range(nB):
+            for k in range(nA):
+                for l in range(nB):
+                    row = table[i * nB + j][k * nB + l]
+                    for c1, v1 in pa[i][k]:
+                        for c2, v2 in pb[j][l]:
+                            row[c1 * nB + c2] = F.add(row[c1 * nB + c2], F.mul(v1, v2))
+    return table, [F.mul(x, y) for x in ua for y in ub]
+
+
+def reference_opposite(a):
+    table, unit = a
+    n = len(unit)
+    return [[list(table[j][i]) for j in range(n)] for i in range(n)], unit
+
+
+def reference_direct_sum(F, a, b):
+    (ta, ua), (tb, ub) = a, b
+    nA, nB = len(ua), len(ub)
+    table = _zeros(F, nA + nB)
+    for i in range(nA):
+        for j in range(nA):
+            table[i][j][:nA] = ta[i][j]
+    for i in range(nB):
+        for j in range(nB):
+            table[nA + i][nA + j][nA:] = tb[i][j]
+    return table, list(ua) + list(ub)

@@ -3,6 +3,7 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
+from hypothesis import given, strategies as st
 
 from rbraid import (
     GF,
@@ -25,7 +26,17 @@ from rbraid.errors import (
     NonMonicModulus,
     ShapeMismatch,
 )
-from conftest import upper_triangular_2x2
+from conftest import (
+    dense_table,
+    reference_direct_sum,
+    reference_matrix_algebra,
+    reference_opposite,
+    reference_poly_quotient,
+    reference_quaternion,
+    reference_tensor_product,
+    upper_triangular_2x2,
+)
+from test_generators import builder_algebras, change_basis
 
 
 def brute_force_center_dim(A):
@@ -58,7 +69,7 @@ def test_matrix_algebra_validates():
 
 def test_corrupted_table_fails_with_witness():
     A = build_matrix_algebra(2, QQ)
-    table = [[list(row) for row in plane] for plane in A.table]
+    table = dense_table(A)
     table[0][1][2] = QQ.one  # inject a wrong product into e_00 * e_01
     bad = Algebra(QQ, table, A.unit, label="corrupted")
     report = validate_algebra(bad)
@@ -214,7 +225,7 @@ def test_tensor_product_dims_and_validation():
     k = build_matrix_algebra(1, QQ)
     kA = build_tensor_product(k, M2)
     assert kA.dim == M2.dim
-    assert kA.table == M2.table and kA.unit == M2.unit
+    assert kA.same_as(M2) and kA.unit == M2.unit
 
 
 def test_enveloping_tensor():
@@ -233,9 +244,9 @@ def test_field_mismatch():
 
 def test_opposite_involution():
     A = build_quaternion(2, 3, QQ)
-    assert opposite(opposite(A)).table == A.table
+    assert dense_table(opposite(opposite(A))) == dense_table(A)
     C = build_poly_quotient([-1, 0, 1], QQ)
-    assert opposite(C).table == C.table  # commutative fixed point
+    assert dense_table(opposite(C)) == dense_table(C)  # commutative fixed point
     op = opposite(build_matrix_algebra(2, QQ))
     # e11 * e12 in the opposite equals e12 e11 = 0 in the original
     assert (op.basis_element(0) * op.basis_element(1)).is_zero()
@@ -259,6 +270,121 @@ def test_upper_triangular_preset():
     assert e12 * e22 == e12
     assert (e12 * e12).is_zero()
     assert (e22 * e11).is_zero()
+
+
+# -- builders against dense references ----------------------------------------
+
+REFERENCE_FIELDS = [QQ, GF(2), GF(3), GF(7)]
+
+
+def scalars(F):
+    if F.characteristic:
+        return st.integers(0, F.characteristic - 1)
+    return st.fractions(-3, 3, max_denominator=4)
+
+
+def _leaf(draw, F, max_dim):
+    kinds = ["matrix", "poly"]
+    if max_dim >= 4 and F.characteristic != 2:
+        kinds.append("quaternion")
+    kind = draw(st.sampled_from(kinds))
+    if kind == "matrix":
+        n = draw(st.integers(1, 3 if max_dim >= 9 else 2 if max_dim >= 4 else 1))
+        return build_matrix_algebra(n, F), reference_matrix_algebra(n, F)
+    if kind == "quaternion":
+        units = scalars(F).map(F.coerce).filter(F.is_invertible)
+        a, b = draw(units), draw(units)
+        return build_quaternion(a, b, F), reference_quaternion(a, b, F)
+    degree = draw(st.integers(1, min(max_dim, 4)))
+    coeffs = [F.coerce(draw(scalars(F))) for _ in range(degree)] + [F.one]
+    return build_poly_quotient(coeffs, F), reference_poly_quotient(coeffs, F)
+
+
+@st.composite
+def built_and_dense(draw, F, depth, max_dim, changed=True):
+    """(the algebra of a random spec of dimension at most `max_dim`, built
+    by the builders; its (table, unit) from the dense references).  Specs
+    nest tensor products, direct sums and opposites `depth` deep; leaves
+    are matrix, quaternion and polynomial algebras and, from dimension 9
+    and where `changed` allows, builder algebras in a changed basis (their
+    reference is their own table, so they only serve as operands)."""
+    kinds = ["leaf"] + (["changed"] if changed and max_dim >= 9 else [])
+    if depth and max_dim >= 2:
+        kinds += ["tensor", "direct_sum", "opposite"]
+    kind = draw(st.sampled_from(kinds))
+    if kind == "leaf":
+        return _leaf(draw, F, max_dim)
+    if kind == "changed":
+        A = change_basis(draw, draw(builder_algebras(fields=[F])))
+        return A, (dense_table(A), A.unit)
+    if kind == "opposite":
+        A, a = draw(built_and_dense(F, depth - 1, max_dim))
+        return opposite(A), reference_opposite(a)
+    if kind == "tensor":
+        A, a = draw(built_and_dense(F, depth - 1, max_dim // 2))
+        B, b = draw(built_and_dense(F, depth - 1, max_dim // A.dim))
+        return build_tensor_product(A, B), reference_tensor_product(F, a, b)
+    A, a = draw(built_and_dense(F, depth - 1, max_dim - 1))
+    B, b = draw(built_and_dense(F, depth - 1, max_dim - A.dim))
+    return build_direct_sum(A, B), reference_direct_sum(F, a, b)
+
+
+def assert_matches_dense(A, dense, vectors):
+    """A against the algebra of its dense reference: the same integer
+    table, equal both ways, the same commutativity, and products of the
+    (x, y) pairs of `vectors` summed over the dense table."""
+    F, (table, unit) = A.field, dense
+    R = Algebra(F, table, unit)
+    assert A._int_products() == R._int_products()
+    assert A.same_as(R) and R.same_as(A)
+    n = A.dim
+    assert A.is_commutative() == all(table[i][j] == table[j][i]
+                                     for i in range(n) for j in range(n))
+    for x, y in vectors:
+        expected = [F.zero] * n
+        for i, j, k in product(range(n), repeat=3):
+            expected[k] = F.add(expected[k], F.mul(F.mul(x[i], y[j]), table[i][j][k]))
+        assert A.mul_coords(x, y) == expected
+
+
+@given(st.data())
+def test_builders_match_dense_references(data):
+    F = data.draw(st.sampled_from(REFERENCE_FIELDS))
+    A, dense = data.draw(built_and_dense(F, 3, 18, changed=False))
+    vector = st.lists(scalars(F).map(F.coerce), min_size=A.dim, max_size=A.dim)
+    vectors = data.draw(st.lists(st.tuples(vector, vector), min_size=1, max_size=3))
+    assert_matches_dense(A, dense, vectors)
+
+
+# e*e = 2e with unit e/2: a copy of Q whose constant is no unit of Z, so a
+# tensor product with it has constants with a common factor to divide out
+DOUBLED = Algebra(QQ, [[[QQ.from_int(2)]]], [Fraction(1, 2)], label="doubled")
+H = build_quaternion("1/2", "1/3", QQ), reference_quaternion(Fraction(1, 2), Fraction(1, 3), QQ)
+M2 = build_matrix_algebra(2, QQ), reference_matrix_algebra(2, QQ)
+K2 = DOUBLED, ([[[QQ.from_int(2)]]], [Fraction(1, 2)])
+# x^2 = 1 + x: a two-term product, so a tensor square has four-term ones
+P = (build_poly_quotient([-1, -1, 1], QQ),
+     reference_poly_quotient([QQ.from_int(c) for c in (-1, -1, 1)], QQ))
+
+
+@pytest.mark.parametrize("build, reference", [
+    pytest.param(lambda: build_tensor_product(H[0], K2[0]),
+                 lambda: reference_tensor_product(QQ, H[1], K2[1]), id="H(x)doubled"),
+    pytest.param(lambda: build_tensor_product(H[0], H[0]),
+                 lambda: reference_tensor_product(QQ, H[1], H[1]), id="H(x)H"),
+    pytest.param(lambda: build_tensor_product(P[0], P[0]),
+                 lambda: reference_tensor_product(QQ, P[1], P[1]), id="P(x)P"),
+    pytest.param(lambda: build_direct_sum(H[0], M2[0]),
+                 lambda: reference_direct_sum(QQ, H[1], M2[1]), id="H(+)M2"),
+    pytest.param(lambda: build_direct_sum(opposite(build_tensor_product(M2[0], H[0])), K2[0]),
+                 lambda: reference_direct_sum(QQ, reference_opposite(
+                     reference_tensor_product(QQ, M2[1], H[1])), K2[1]),
+                 id="op(M2(x)H)(+)doubled"),
+])
+def test_builder_cases_match_dense_references(build, reference):
+    A, dense = build(), reference()
+    e = [A.basis_element(i).coords for i in range(A.dim)]
+    assert_matches_dense(A, dense, [(e[0], e[-1]), (A.unit, [Fraction(1, 3)] * A.dim)])
 
 
 # -- centers -----------------------------------------------------------------

@@ -80,6 +80,11 @@ def test_constructors_and_laws(m2):
     assert (reg.dim, sq.dim, fr.dim) == (4, 16, 12)
     for M in (reg, sq, fr):
         assert check_bimodule(M).passed
+    # constants over a common denominator (6 here) enter the
+    # (anti-)representation laws divided by it
+    H = build_quaternion("1/2", "1/3", QQ)
+    for M in (regular_bimodule(H), square_bimodule(H), free_bimodule(H, 2)):
+        assert check_bimodule(M).passed
 
 
 def test_check_bimodule_witnesses(m2):

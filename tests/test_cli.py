@@ -416,6 +416,30 @@ def test_input_errors_name_their_key(tmp_path, capsys, algebra, message):
     assert report["error"] == message
 
 
+STRING_ROWS = [["10", "01"], ["01", "00"]]
+
+
+@pytest.mark.parametrize("unit, table, message", [
+    ("10", STRING_ROWS, "algebra.unit: expected a list, got str"),
+    (["1", "0"], STRING_ROWS, "algebra.table[0][0]: expected a list, got str"),
+    (["1", "0"], {"a": [["1", "0"], ["0", "1"]], "b": [["0", "1"], ["0", "0"]]},
+     "algebra.table: expected a list, got dict"),
+    (["1", "0"], [[["1", "0"], ["0", "1"]], [["0", "1"], {"0": "0", "1": "0"}]],
+     "algebra.table[1][1]: expected a list, got dict"),
+], ids=["string-unit", "string-rows", "object-table", "object-row"])
+def test_custom_needs_lists(tmp_path, capsys, unit, table, message):
+    # a string would be read character by character and an object key by
+    # key, so "10" once passed as the unit (1, 0)
+    path = write(tmp_path, "bad.json", {"field": {"kind": "Q"}, "algebra": {
+        "kind": "custom", "dim": 2, "unit": unit, "table": table}})
+    code = main(["validate", path])
+    out, err = capsys.readouterr()
+    assert code == 2 and "Traceback" not in err
+    assert out.count("\n") == 1
+    report = json.loads(out)
+    assert report["status"] == "error" and report["error"] == message
+
+
 def _with_scalar(key, value):
     """A spec whose one scalar in `key` is the JSON value `value`."""
     if key in ("a", "b"):

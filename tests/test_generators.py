@@ -28,6 +28,7 @@ from rbraid import (
 from rbraid.bimodules import extended_invariants
 from rbraid.linalg import _difference_echelon, _nullspace_ints, nullspace_from_echelon
 from rbraid.rmatrix import pair_invariant_basis
+from conftest import dense_table
 
 FIELDS = [QQ, GF(2), GF(3), GF(7)]
 small_ints = st.integers(-2, 2)
@@ -84,10 +85,10 @@ def _base(draw, F, max_dim):
 
 
 @st.composite
-def builder_algebras(draw):
+def builder_algebras(draw, fields=FIELDS):
     """Matrix, quaternion, polynomial, tensor, direct-sum and opposite
-    algebras of dimension at most 9."""
-    F = draw(st.sampled_from(FIELDS))
+    algebras of dimension at most 9, over one of `fields`."""
+    F = draw(st.sampled_from(fields))
     kind = draw(st.sampled_from(["base", "tensor", "direct_sum", "opposite"]))
     if kind == "tensor":
         return build_tensor_product(_base(draw, F, 4), _base(draw, F, 2))
@@ -124,7 +125,7 @@ def perturbed_builders(draw):
     A = draw(changed_builders())
     n, F = A.dim, A.field
     i, j, k = (draw(st.integers(0, n - 1)) for _ in range(3))
-    table = [[list(row) for row in plane] for plane in A.table]
+    table = dense_table(A)
     table[i][j][k] = F.add(table[i][j][k], F.one)
     return Algebra(F, table, A.unit, label="perturbed")
 

@@ -33,7 +33,7 @@ from rbraid.errors import (
 from rbraid.linalg import _reduced
 from rbraid.rmatrix import _centralizing_check, _scan_indices, pair_invariant_basis
 from rbraid import Algebra, validate_algebra
-from conftest import negative_corpus, unitriangular_basis
+from conftest import dense_table, negative_corpus, unitriangular_basis
 
 CHECK_NAMES = [
     "c1", "c2", "c3", "h1", "h2", "inv1", "inv2",
@@ -144,7 +144,7 @@ def test_unsupported_size():
 
 def test_unvalidated_algebra_rejected():
     A = build_matrix_algebra(2, QQ)
-    table = [[list(row) for row in plane] for plane in A.table]
+    table = dense_table(A)
     table[0][0][3] = QQ.one
     bad = Algebra(QQ, table, A.unit, label="broken")
     assert not validate_algebra(bad).passed

@@ -1,6 +1,7 @@
 """Tensor-power calculus: products, leg actions, permutations, embeddings."""
 import random
 from fractions import Fraction
+from functools import cache
 from itertools import product
 from math import gcd
 
@@ -26,7 +27,13 @@ from rbraid.errors import (
     LegOutOfRange,
 )
 from rbraid.rmatrix import _literal_pair_product
-from conftest import unitriangular_basis
+from conftest import dense_table, nonzero_terms, unitriangular_basis
+
+
+@cache
+def basis_products(A):
+    """Field-valued (k, c) nonzeros of each basis product e_a * e_b of A."""
+    return nonzero_terms(dense_table(A))
 
 
 @pytest.fixture(scope="module")
@@ -261,7 +268,7 @@ def all_pairs_product(s, t):
                 partial = [
                     (combo + (k,), F.mul(c, ck))
                     for combo, c in partial
-                    for k, ck in A.basis_products[a][b]
+                    for k, ck in basis_products(A)[a][b]
                 ]
             terms.extend(partial)
     return TensorElement.from_terms(A, s.arity, terms)
@@ -295,7 +302,7 @@ def test_tensor_mul_matches_all_pairs_reference(pair):
 ANNIHILATING = [
     (A, pairs) for A in JOIN_ALGEBRAS
     if (pairs := [(a, b) for a in range(A.dim) for b in range(A.dim)
-                  if not A.basis_products[a][b]])
+                  if not basis_products(A)[a][b]])
 ]
 
 
@@ -417,7 +424,7 @@ def test_stored_form_linear_operations(case):
 def test_stored_form_leg_operations(case, data):
     A, arity, s, t, c = case
     F = A.field
-    prods = A.basis_products
+    prods = basis_products(A)
     sv = s.coeffs
     coords = data.draw(st.lists(scalars(F), min_size=A.dim, max_size=A.dim))
     a = A.element(coords)
@@ -470,7 +477,7 @@ def test_stored_form_tensor_mul(case):
     terms = []
     for ds, cs in s.coeffs.items():
         for dt, ct in t.coeffs.items():
-            legs = [(p, A.basis_products[a][b]) for p, (a, b) in enumerate(zip(ds, dt))]
+            legs = [(p, basis_products(A)[a][b]) for p, (a, b) in enumerate(zip(ds, dt))]
             terms += expand(F, ([0] * arity, F.mul(cs, ct)), legs)
     checked(tensor_mul(s, t), reference(F, terms))
 
@@ -490,7 +497,7 @@ def test_literal_pair_product_matches_embedded_product(data):
                 legs = []
                 for s in range(1, 5):
                     if s in slots_a and s in slots_b:
-                        legs.append((s - 1, A.basis_products[da[slots_a.index(s)]][
+                        legs.append((s - 1, basis_products(A)[da[slots_a.index(s)]][
                             db[slots_b.index(s)]]))
                     elif s in slots_a:
                         base[s - 1] = da[slots_a.index(s)]
