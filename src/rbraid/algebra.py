@@ -15,6 +15,7 @@ relations) is cut out by the generators' actions alone.
 """
 from __future__ import annotations
 
+from fractions import Fraction
 from math import gcd, lcm
 
 from .checks import CheckReport, CheckResult
@@ -52,6 +53,8 @@ class Algebra:
         if len(unit) != dim:
             raise ShapeMismatch(f"unit has length {len(unit)}, expected {dim}")
         mod = field.characteristic
+        # canonical values, as the table below: residues mod p, Fractions over Q
+        unit = [c % mod for c in unit] if mod else [Fraction(c) for c in unit]
         rows = [{k: c for k, c in enumerate(r) if c} for p in table for r in p]
         flat, scale = ([_reduced(r, mod) for r in rows], 1) if mod else _to_ints(rows)
         products = [[tuple(flat[i * dim + j].items()) for j in range(dim)] for i in range(dim)]

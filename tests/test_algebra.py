@@ -183,6 +183,14 @@ def test_structurally_equal_algebras_interoperate():
     assert A.basis_element(0) * B.basis_element(1) == A.basis_element(1)
 
 
+def test_unit_is_stored_canonically():
+    # the table is stored reduced, so the unit must be too: 8 is 1 in GF(7)
+    assert Algebra(GF(7), [[[1]]], [8]).same_as(Algebra(GF(7), [[[1]]], [1]))
+    assert Algebra(GF(7), [[[1]]], [8]).unit == [1]
+    assert Algebra(QQ, [[[1]]], [1]).unit == [Fraction(1)]
+    assert Algebra(QQ, [[[1]]], [1]).same_as(build_matrix_algebra(1, QQ))
+
+
 # -- polynomial quotients --------------------------------------------------
 
 
