@@ -8,7 +8,10 @@ the resulting echelon data induce a canonical projection/section pair
 (the section picks the non-pivot coordinates).  Maps between quotients
 are always induced from ambient matrices with a machine check that
 relations land in relations; this is exactly where an invalid R-matrix
-certificate manifests, and it raises NotWellDefined.
+certificate manifests, and it raises NotWellDefined.  The check is a
+factorization: section . projection is a projector whose kernel is the
+relation span, so a projected ambient map X kills every relation
+exactly when X = (X . section) . projection.
 """
 from __future__ import annotations
 
@@ -23,8 +26,10 @@ from .linalg import (
     Matrix,
     _combination,
     _difference_echelon,
+    _int_matmul,
     _int_matmul_kron,
     _nullspace_ints,
+    _reduced,
     nullspace_from_echelon,
 )
 from .rmatrix import RMatrixCertificate
@@ -363,18 +368,32 @@ def induced_map(source: QuotientSpace, target: QuotientSpace, ambient: Matrix | 
                 what: str = "map") -> QuotientMap:
     """Induce a quotient map from an ambient matrix, or a product of
     Kronecker factors with an identity, verifying that every relation of
-    the source is sent into the relation span of the target."""
+    the source is sent into the relation span of the target.
+
+    With P the target's projection and S, P' the source's section and
+    projection, the projected ambient map X = P . ambient is well defined
+    on the quotient exactly when X = (X S) P': S P' is a projector whose
+    kernel is the relation span of the source, so X vanishes on the
+    relations iff it factors through it.  The rows of X S are the induced
+    map, so the check costs one product of each of them with P', compared
+    row by row with X up to the first difference."""
     if ambient.nrows != target.ambient_dim or ambient.ncols != source.ambient_dim:
         raise ShapeMismatch(
             f"ambient map is {ambient.nrows}x{ambient.ncols}, ambients are "
             f"{target.ambient_dim}<-{source.ambient_dim}"
         )
-    projected_ambient = target.projection @ ambient
-    # the map is well-defined exactly when the projected images of all the
-    # relations, stacked as columns, vanish
-    if not (projected_ambient @ _relations(source._ech).transpose()).is_zero():
-        raise NotWellDefined(f"{what} does not preserve the balancing relations")
-    return QuotientMap(source, target, _at_section(projected_ambient, source))
+    projected = target.projection @ ambient
+    pos, back = source._free_pos, source.projection
+    mod, scale = projected.field.characteristic, back.den
+    rows = []
+    for r in projected.ints:
+        row = {pos[j]: v for j, v in r.items() if j in pos}
+        if _int_matmul([row], back.ints, mod)[0] != (
+                r if scale == 1 else {j: v * scale for j, v in r.items()}):
+            raise NotWellDefined(f"{what} does not preserve the balancing relations")
+        rows.append(row)
+    induced = Matrix._of(projected.field, projected.nrows, source.dim, rows, projected.den)
+    return QuotientMap(source, target, induced)
 
 
 def _leg_sums(cert: RMatrixCertificate, Y: Bimodule, leg: int) -> dict[int, Matrix]:
@@ -397,13 +416,24 @@ def _r_operator(cert: RMatrixCertificate, Y: Bimodule, X: list[Matrix]) -> Matri
     Yang-Baxter operator (X = V.left)."""
     F = Y.algebra.field
     dx, dy = X[0].nrows, Y.dim
-    # grouped by the leg of X so only one Kronecker product per algebra
-    # basis element is formed
-    big = _combination(F, dy * dx, dy * dx, (
-        (F.one, op.kron(X[k])) for k, op in _leg_sums(cert, Y, 2).items()))
-    # the flip sends column k of the sum to column (k % dx) * dy + k // dx
-    rows = [{(k % dx) * dy + k // dx: v for k, v in r.items()} for r in big.ints]
-    return Matrix._of(F, big.nrows, big.ncols, rows, big.den)
+    # grouped by the leg of X, each sum_k op_k (x) X[k] written in one pass
+    # on a common denominator: entry (a, c) of op_k times entry (b, d) of
+    # X[k] lands in row a * dx + b and, after the flip, column d * dy + c
+    terms = [(op, X[k]) for k, op in _leg_sums(cert, Y, 2).items()]
+    den = lcm(1, *(op.den * x.den for op, x in terms))
+    rows: list[dict] = [{} for _ in range(dy * dx)]
+    for op, x in terms:
+        k = den // (op.den * x.den)
+        for a, ra in enumerate(op.ints):
+            ra = [(c, u * k) for c, u in ra.items()]
+            for b, rb in enumerate(x.ints, a * dx):
+                out = rows[b]
+                get = out.get
+                for d, v in rb.items():
+                    base = d * dy
+                    for c, u in ra:
+                        out[base + c] = get(base + c, 0) + u * v
+    return Matrix._of(F, dy * dx, dy * dx, [_reduced(r, F.characteristic) for r in rows], den)
 
 
 def braiding_map(cert: RMatrixCertificate, M: Bimodule, N: Bimodule) -> QuotientMap:
@@ -514,8 +544,12 @@ def canonical_morphism(M: Bimodule, m_coords) -> Matrix:
 
 
 def is_bimodule_map(M: Bimodule, N: Bimodule, matrix: Matrix) -> bool:
-    """Exact check that a matrix commutes with both actions."""
-    for i in range(M.algebra.dim):
+    """Exact check that a matrix commutes with both actions, on the
+    indices of `Algebra.fixed_point_indices`: when both bimodules are
+    lawful, the elements whose actions the matrix commutes with form a
+    subspace that holds 1 and is closed under products."""
+    M.algebra.check_same(N.algebra)
+    for i in M.algebra.fixed_point_indices(M.lawful and N.lawful):
         if matrix @ M.left[i] != N.left[i] @ matrix:
             return False
         if matrix @ M.right[i] != N.right[i] @ matrix:

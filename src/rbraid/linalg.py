@@ -43,6 +43,16 @@ class Echelon:
     chosen as pivots; rows whose pivotable part reduces to zero but
     which keep support beyond the limit are retained in field values as
     residue rows (they drive consistency checks for augmented solves).
+
+    A new pivot p must be cleared from every stored row that holds p.
+    `_holders` maps each non-pivot column to the indices of the stored
+    rows that gained support there, so only those rows are visited, not
+    every stored row (the column occurrence lists of sparse direct
+    solvers).  The lists are append-only: a row whose entry cancelled
+    stays listed and pops nothing when p comes, and one whose entry
+    came back is listed twice, the second visit popping nothing.  A
+    pivot's list is dropped once used: afterwards only the pivot's own
+    row holds that column.
     """
 
     def __init__(self, field: Field, ncols: int, pivot_limit: int | None = None):
@@ -54,6 +64,7 @@ class Echelon:
         self._mod = field.characteristic
         self.int_rows: IntRows = []
         self._values: list[Row] | None = None  # field values of int_rows over Q
+        self._holders: dict[int, list[int]] = {}  # column -> stored rows that may hold it
 
     @property
     def rank(self) -> int:
@@ -142,15 +153,20 @@ class Echelon:
             if g != 1:
                 out = {j: v // g for j, v in out.items()}
             head = out[p]
-        for r in self.int_rows:
-            if p not in r:
+        holders, rows = self._holders, self.int_rows
+        for ridx in holders.pop(p, ()):
+            r = rows[ridx]
+            coef = r.pop(p, None)
+            if coef is None:  # the entry cancelled, or the row is listed twice
                 continue
-            coef = r.pop(p)
             if mod:
                 for j, v in out.items():
                     if j != p:
-                        w = (r.get(j, 0) - coef * v) % mod
-                        if w:
+                        w = r.get(j)
+                        if w is None:
+                            r[j] = -coef * v % mod
+                            holders.setdefault(j, []).append(ridx)
+                        elif w := (w - coef * v) % mod:
                             r[j] = w
                         else:
                             del r[j]
@@ -160,8 +176,11 @@ class Echelon:
                     r[j] *= head
             for j, v in out.items():
                 if j != p:
-                    w = r.get(j, 0) - coef * v
-                    if w:
+                    w = r.get(j)
+                    if w is None:
+                        r[j] = -coef * v
+                        holders.setdefault(j, []).append(ridx)
+                    elif w := w - coef * v:
                         r[j] = w
                     else:
                         del r[j]
@@ -169,8 +188,12 @@ class Echelon:
             if g != 1:
                 for j in r:
                     r[j] //= g
-        self.pivots[p] = len(self.int_rows)
-        self.int_rows.append(out)
+        ridx = len(rows)
+        for j in out:
+            if j != p:
+                holders.setdefault(j, []).append(ridx)
+        self.pivots[p] = ridx
+        rows.append(out)
         self._values = None
         return True
 

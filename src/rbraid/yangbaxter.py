@@ -75,6 +75,13 @@ class YBOperator:
             return None
         return _omega_by_columns(cert.r, regular_bimodule(A)).ints
 
+    @cached_property
+    def _square_rows(self) -> IntRows:
+        """Integer rows of the operator's square, formed once for both
+        `check_omega_cubed` and `omega_rank_profile`."""
+        rows = self.omega.ints
+        return _int_matmul(rows, rows, self.omega.field.characteristic)
+
 
 def build_omega(cert: RMatrixCertificate, V: Bimodule,
                 size_cap: int | None = DEFAULT_DIM_CAP) -> YBOperator:
@@ -231,7 +238,7 @@ def check_omega_cubed(op: YBOperator) -> CheckResult:
     equals itself.  On the integer rows M over the denominator d this
     reads M^3 = d^2 M."""
     rows, mod = op.omega.ints, op.omega.field.characteristic
-    cubed = _int_matmul(rows, _int_matmul(rows, rows, mod), mod)
+    cubed = _int_matmul(rows, op._square_rows, mod)
     sq = op.omega.den ** 2
     expect = rows if sq == 1 else [{j: sq * v for j, v in r.items()} for r in rows]
     ok = cubed == expect
@@ -242,4 +249,6 @@ def check_omega_cubed(op: YBOperator) -> CheckResult:
 def omega_rank_profile(op: YBOperator) -> tuple[int, int]:
     """(rank of the operator, rank of its square); the two agree whenever
     the cube condition holds."""
-    return op.omega.rank(), (op.omega @ op.omega).rank()
+    omega = op.omega
+    square = Matrix._of(omega.field, omega.nrows, omega.ncols, op._square_rows)
+    return omega.rank(), square.rank()

@@ -6,7 +6,7 @@ from functools import cache
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from rbraid import (
     GF,
@@ -700,6 +700,7 @@ def reference_r_operator(cert, Y, X):
 @given(st.sampled_from(sorted(STRUCTURED_ALGEBRAS)), st.sampled_from(KINDS),
        st.sampled_from(KINDS), st.sampled_from(["regular", "free:1", "free:2"]),
        st.integers(0, 2 ** 32))
+@example("dense M2/Q", "square", "free:2", "free:1", 0)
 def test_index_map_paths_match_explicit_products(name, m, n, p, seed):
     A, cert = solved(name)
     F = A.field
@@ -749,17 +750,19 @@ def test_index_map_paths_match_explicit_products(name, m, n, p, seed):
 
 @settings(max_examples=25, deadline=None)
 @given(st.sampled_from(sorted(STRUCTURED_ALGEBRAS)), st.sampled_from(KINDS),
-       st.sampled_from(["regular", "free:1", "free:2"]), st.data())
-def test_perturbed_maps_fail_where_explicit_products_fail(name, m, p, data):
+       st.sampled_from(["regular", "free:1", "free:2"]),
+       st.tuples(*[st.integers(0, 3)] * 3), st.integers(1, 3),
+       st.tuples(st.integers(0, 2 ** 16), st.integers(0, 2 ** 16)))
+@example("dense M2/Q", "square", "free:2", (0, 1, 2), 1, (5, 7))
+def test_perturbed_maps_fail_where_explicit_products_fail(name, m, p, digits, delta, at):
     # a perturbed certificate, and a perturbed braiding matrix under a
     # whisker, each fail exactly where the explicit products fail, with
-    # the same witness
+    # the same witness; every algebra here has dimension 4, and the bump
+    # lands at the entry `at` reduced modulo the braiding's shape
     A, cert = solved(name)
     F = A.field
     M, P = bimodule_of(A, m), bimodule_of(A, p)
-    n = A.dim
-    digits = tuple(data.draw(st.integers(0, n - 1)) for _ in range(3))
-    delta = F.coerce(data.draw(st.integers(1, 3)))
+    delta = F.coerce(delta)
     bad = RMatrixCertificate(
         A, with_coefficient(cert.r, digits, F.add(cert.r.coefficient(digits), delta)),
         CheckReport([]))
@@ -768,7 +771,7 @@ def test_perturbed_maps_fail_where_explicit_products_fail(name, m, p, data):
         qmp, qpm, reference_r_operator(bad, P, M.right),
         "braiding")
     c = braiding_map(cert, M, P).matrix
-    i, j = (data.draw(st.integers(0, d - 1)) for d in (c.nrows, c.ncols))
+    i, j = at[0] % c.nrows, at[1] % c.ncols
     bump = Matrix(F, c.nrows, c.ncols, [{j: delta} if r == i else {} for r in range(c.nrows)])
     bad_c = c + bump
     src = tensor_over_A(P, qmp.bimodule)
@@ -781,3 +784,49 @@ def test_perturbed_maps_fail_where_explicit_products_fail(name, m, p, data):
     what = "c(M,P) (x) P"
     assert outcome(lambda: induced_map(src, dst, _KronChain((bad_c, P.dim, False)), what)) == (
         reference_induced(src, dst, bad_c.kron(eye(F, P.dim)), what))
+
+
+# -- the bimodule-map check on generators against every basis index ----------
+
+
+def commutes_on_every_index(M, N, matrix):
+    """Reference: the matrix commutes with both actions of every basis
+    element."""
+    return all(matrix @ M.left[i] == N.left[i] @ matrix
+               and matrix @ M.right[i] == N.right[i] @ matrix
+               for i in range(M.algebra.dim))
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.sampled_from(["M2/Q", "H(-1,-1)/Q", "H(-1,-1)/GF(7)", "dense M2/GF(7)"]),
+       st.sampled_from(KINDS), st.sampled_from(KINDS),
+       st.tuples(st.integers(0, 2 ** 16), st.integers(0, 2 ** 16)))
+def test_bimodule_map_generator_scan_matches_every_index(name, m, n, at):
+    # the braiding between the audited quotient bimodules, and the same
+    # matrix with one entry bumped
+    A, cert = solved(name)
+    F = A.field
+    M, N = bimodule_of(A, m), bimodule_of(A, n)
+    qmn, qnm = tensor_over_A(M, N).bimodule, tensor_over_A(N, M).bimodule
+    assert qmn.lawful and qnm.lawful
+    c = braiding_map(cert, M, N).matrix
+    i, j = at[0] % c.nrows, at[1] % c.ncols
+    bumped = c + Matrix(F, c.nrows, c.ncols, [{j: F.one} if r == i else {}
+                                              for r in range(c.nrows)])
+    assert is_bimodule_map(qmn, qnm, c) and commutes_on_every_index(qmn, qnm, c)
+    assert is_bimodule_map(qmn, qnm, bumped) == commutes_on_every_index(qmn, qnm, bumped)
+
+
+def test_bimodule_map_scans_every_index_when_unlawful():
+    # N is the regular bimodule of M2 with the left action of e_11, which
+    # is not a generator, doubled: the identity commutes with the actions
+    # of the generators only
+    A = build_matrix_algebra(2, QQ)
+    assert 3 not in A.generators()
+    M = regular_bimodule(A)
+    left = list(M.left)
+    left[3] = left[3].scale(QQ.coerce(2))
+    eye4 = Matrix.identity(QQ, 4)
+    assert not is_bimodule_map(M, Bimodule(A, left, M.right, "bent"), eye4)
+    # only a (false) claim of the laws lets the scan skip e_11
+    assert is_bimodule_map(M, Bimodule(A, left, M.right, "bent", lawful=True), eye4)

@@ -513,6 +513,120 @@ def test_echelon_matches_reference(field, data):
         assert_canonical_values(field, vec)
 
 
+@st.composite
+def cancelling_rows(draw, field):
+    """Up to 14 rows over up to 12 columns whose eliminations cancel
+    entries of stored rows and then bring them back.  A reference
+    echelon follows the draw; besides sparse rows with entries +-1 and
+    +-2 and +-1 combinations of two earlier rows, each step may read a
+    stored row r and add
+
+    tail      r at some of its entries after the pivot: the new pivot
+              clears all of them from r;
+    bridge    a column b that r holds and a later non-pivot column: the
+              new pivot b brings that column (back) into r;
+
+    and a cycle may start on four non-pivot columns a < b < c < d: a row
+    r on all four, then r at c and d, then b and d, then d, so that r
+    loses d, regains it and loses it to the pivot d.
+    """
+    ncols = draw(st.integers(2, 12))
+    # mostly no limit, so that most rows become pivots
+    pivot_limit = draw(st.just(ncols) | st.integers(0, ncols))
+    column = st.integers(0, ncols - 1)
+    unit = st.sampled_from([1, -1, 2, -2]).map(field.coerce)
+    sign = st.sampled_from([1, -1]).map(field.coerce)
+    F = field
+    ref = ReferenceEchelon(field, ncols, pivot_limit)
+    rows, size = [], draw(st.integers(1, 14))
+    while len(rows) < size:
+        # the entries after the pivot of each stored row that has some
+        held = [(r, sorted(r)[1:]) for r in ref.rows if len(r) > 1]
+        kinds = ["sparse", "combination"][:1 + bool(rows)]
+        kinds += ["tail", "bridge"] if held else []
+        free = [j for j in range(pivot_limit) if j not in ref.pivots]
+        kinds += ["cycle"] if len(free) > 3 else []
+        kind = draw(st.sampled_from(kinds))
+        if kind == "sparse":
+            new = [{j: draw(unit) for j in draw(st.lists(column, min_size=1, max_size=5))}]
+        elif kind == "combination":
+            a, b = (draw(st.sampled_from(rows)) for _ in range(2))
+            row, c = dict(a), draw(sign)
+            for j, v in b.items():
+                row[j] = F.add(row.get(j, F.zero), F.mul(c, v))
+            new = [row]
+        elif kind == "tail":
+            r, h = draw(st.sampled_from(held))
+            new = [{j: F.mul(draw(sign), r[j]) for j in draw(st.sets(st.sampled_from(h),
+                                                                      min_size=1))}]
+        elif kind == "bridge":
+            r, h = draw(st.sampled_from(held))
+            k = draw(st.sampled_from(h))
+            later = [j for j in range(k + 1, ncols) if j not in ref.pivots]
+            new = [{k: draw(sign), **({draw(st.sampled_from(later)): draw(sign)} if later
+                                      else {})}]
+        else:
+            a, b, c, d = sorted(draw(st.sets(st.sampled_from(free), min_size=4, max_size=4)))
+            r = {a: draw(sign), b: draw(sign), c: draw(sign), d: draw(sign)}
+            new = [r, {c: r[c], d: r[d]}, {b: draw(sign), d: draw(sign)}, {d: draw(sign)}]
+        for row in new[:size - len(rows)]:
+            row = {j: v for j, v in row.items() if v}
+            ref.insert(dict(row))
+            rows.append(row)
+    probe = draw(st.sampled_from(rows))
+    return ncols, pivot_limit, rows, {**probe, draw(column): F.one}
+
+
+def assert_matches_reference(field, ech, ref, probe):
+    assert ech.rank == len(ref.rows)
+    assert ech.pivots == ref.pivots
+    assert ech.rows == ref.rows
+    assert ech.residues == ref.residues
+    assert ech.reduce(probe) == ref.reduce(probe)
+    assert nullspace_from_echelon(ech) == ref.nullspace()
+    assert_canonical_rows(field, ech.rows)
+
+
+def assert_holders_cover(ech):
+    """Each stored row is listed under every non-pivot column it holds."""
+    for ridx, r in enumerate(ech.int_rows):
+        for j in r:
+            assert j in ech.pivots or ridx in ech._holders.get(j, ())
+
+
+@pytest.mark.parametrize("field", KERNEL_FIELDS)
+@settings(max_examples=200)
+@given(data=st.data())
+def test_column_index_matches_reference_under_cancellation(field, data):
+    ncols, pivot_limit, rows, probe = data.draw(cancelling_rows(field))
+    ech = Echelon(field, ncols, pivot_limit)
+    ref = ReferenceEchelon(field, ncols, pivot_limit)
+    for row in rows:
+        assert ech.insert(dict(row)) == ref.insert(dict(row))
+        assert_holders_cover(ech)
+    assert_matches_reference(field, ech, ref, probe)
+
+
+@pytest.mark.parametrize("field", KERNEL_FIELDS)
+def test_column_index_entry_lost_and_regained(field):
+    # row 0 holds column 3; pivot 2 cancels that entry, pivot 1 brings it
+    # back, so row 0 is listed twice under column 3 when 3 becomes a pivot
+    F = field
+    e = lambda *cols: {j: F.coerce(c) for j, c in cols}
+    rows = [e((0, 1), (1, 1), (2, 1), (3, 1), (4, 1)), e((2, 1), (3, 1)),
+            e((1, 1), (3, -1)), e((3, 1), (4, 1))]
+    ech = Echelon(field, 5)
+    ref = ReferenceEchelon(field, 5)
+    seen = []
+    for row in rows:
+        assert ech.insert(dict(row)) and ref.insert(dict(row))
+        seen.append(3 in ech.int_rows[0])
+        assert_holders_cover(ech)
+    assert seen == [True, False, True, False]
+    assert ech.rows[0] == e((0, 1))
+    assert_matches_reference(field, ech, ref, e((3, 1), (4, 2)))
+
+
 @pytest.mark.parametrize("field", KERNEL_FIELDS)
 @given(data=st.data())
 def test_solves_match_reference(field, data):
