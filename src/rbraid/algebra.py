@@ -11,7 +11,10 @@ laws, which every other module assumes.  One generating set per algebra
 (`Algebra.generators`) serves twice: associativity is checked on the
 triples whose first entry is a generator (Light's test), and every
 fixed-point space (center, invariants, the W-space, the balancing
-relations) is cut out by the generators' actions alone.
+relations) is cut out by the generators' actions alone.  The zero
+pattern of the table splits the basis into blocks (`Algebra._blocks`),
+which `tensor.tensor_mul` uses to pair only monomials whose products can
+survive.
 """
 from __future__ import annotations
 
@@ -83,6 +86,7 @@ class Algebra:
         self._left_mats: list[Matrix] | None = None
         self._right_mats: list[Matrix] | None = None
         self._validation: CheckReport | None = None
+        self._block_labels: tuple[list[int], list[int]] | None = None
         self._bimodules: dict = {}  # label -> Bimodule, filled by `bimodules`
 
     def _int_products(self):
@@ -90,6 +94,35 @@ class Algebra:
         pairs of e_i * e_j in ascending k, each constant times `scale` (the
         least common denominator) with zeros dropped; residues over 1 in GF(p)."""
         return self._int_prods
+
+    def _blocks(self) -> tuple[list[int], list[int]]:
+        """(left, right): the block of each basis index as a left and as a
+        right factor, numbered 0, 1, .. in order of first appearance, so
+        that e_a * e_b != 0 implies left[a] == right[b] (cached).
+
+        The blocks are the connected components of the bipartite graph
+        with an edge from a on the left to b on the right wherever e_a * e_b
+        is nonzero: the matrix units e_ij, e_kl of M_n meet only when j = k,
+        so M_n has n blocks, while a table with no zero product has one.
+        """
+        if self._block_labels is None:
+            n = self.dim
+            parent = list(range(2 * n))  # a on the left is a, b on the right n + b
+
+            def root(x):
+                while parent[x] != x:
+                    parent[x] = parent[parent[x]]
+                    x = parent[x]
+                return x
+
+            for a, row in enumerate(self._int_prods[0]):
+                for b, terms in enumerate(row):
+                    if terms:
+                        parent[root(a)] = root(n + b)
+            number: dict[int, int] = {}
+            labels = [number.setdefault(root(x), len(number)) for x in range(2 * n)]
+            self._block_labels = labels[:n], labels[n:]
+        return self._block_labels
 
     def generators(self) -> tuple[int, ...]:
         """Basis indices G, picked greedily in basis order, whose right-nested
@@ -277,12 +310,14 @@ def validate_algebra(algebra: Algebra) -> CheckReport:
     the generators are checked (Light's test): the left nucleus {x :
     (xy)z = x(yz) for all y, z} is a subspace that holds 1 and is closed
     under products, so it is all of A when it holds the generators.  When
-    the unit laws fail, every basis triple is checked.  The report carries
-    the first failing triple (i, j, k) with both sides as the witness,
-    the same triple either way: the generators are picked in basis order,
-    so a basis element that is no generator lies in the span of products
-    of smaller generators, and the smallest failing index is a generator.
-    Results are cached on the algebra.
+    the unit laws fail, every basis triple is checked.  Either way a triple
+    where e_i e_j and e_j e_k both vanish is skipped, since both of its
+    sides are 0.  The report carries the first failing triple (i, j, k)
+    with both sides as the witness, the same triple either way: the
+    generators are picked in basis order, so a basis element that is no
+    generator lies in the span of products of smaller generators, and the
+    smallest failing index is a generator.  Results are cached on the
+    algebra.
     """
     if algebra._validation is not None:
         return algebra._validation
@@ -308,9 +343,14 @@ def validate_algebra(algebra: Algebra) -> CheckReport:
     prods, mod, scale = algebra._int_products()
     by_right = [[prods[m][k] for m in range(n)] for k in range(n)]  # e_m * e_k by k, m
 
+    # for a zero e_i e_j only the k with e_j e_k nonzero, in ascending order
+    survivors = [[k for k in range(n) if row[k]] for row in prods]
+
     def first_failure(firsts):
         """Witness of the first failing triple (i, j, k) with i in `firsts`."""
-        for i, j, k in ((i, j, k) for i in firsts for j in range(n) for k in range(n)):
+        every = range(n)
+        for i, j, k in ((i, j, k) for i in firsts for j in every
+                        for k in (every if prods[i][j] else survivors[j])):
             # over Q both sides carry scale**2
             lhs = _expand(prods[i][j], by_right[k], mod)  # (e_i e_j) e_k
             rhs = _expand(prods[j][k], prods[i], mod)     # e_i (e_j e_k)

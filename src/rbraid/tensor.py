@@ -15,7 +15,9 @@ witnesses walk the monomials in sorted digit order (leg 1 most
 significant).  `tensor_mul` is one kernel for every arity: each
 monomial of the left factor walks a trie of the right factor depth
 first, and a branch whose product vanishes on some leg is never
-expanded.
+expanded.  The right factor is split into one trie per block signature
+(`Algebra._blocks`), so a monomial walks only the monomials that can
+survive every leg; an algebra of one block keeps a single trie.
 """
 from __future__ import annotations
 
@@ -340,6 +342,12 @@ def tensor_mul(s: TensorElement, t: TensorElement) -> TensorElement:
     coefficients are multiplied only along branches that survive every
     leg.  The output digits go into one list, which becomes a key only
     at a leaf; the innermost call takes the last two legs together.
+
+    Since e_a * e_b != 0 only when a's left block equals b's right block
+    (`Algebra._blocks`), `t` is split into one trie per signature, the
+    right blocks of a monomial's digits, and a monomial of `s` walks only
+    the trie whose signature is its own digits' left blocks: every pair
+    skipped this way vanishes on some leg, so the sum is the same.
     """
     s._check_compatible(t)
     A = s.algebra
@@ -357,9 +365,11 @@ def tensor_mul(s: TensorElement, t: TensorElement) -> TensorElement:
                     digits = (k,)
                     out[digits] = get(digits, 0) + cs * ct * ck
     else:
-        trie: dict = {}
+        left, right = A._blocks()
+        split = any(right)  # more than one block; with one, no signature is built
+        tries: dict = {}
         for digits, c in t.ints.items():
-            node = trie
+            node = tries.setdefault(tuple(map(right.__getitem__, digits)) if split else (), {})
             for d in digits[:last]:
                 child = node.get(d)
                 if child is None:
@@ -396,6 +406,8 @@ def tensor_mul(s: TensorElement, t: TensorElement) -> TensorElement:
                             out[digits] = get(digits, 0) + ck * ck2
 
         for ds, cs in s.ints.items():
-            walk(trie, [products[a] for a in ds], 0, cs)
+            trie = tries.get(tuple(map(left.__getitem__, ds)) if split else ())
+            if trie is not None:
+                walk(trie, [products[a] for a in ds], 0, cs)
     den = s.den * t.den * scale ** m
     return TensorElement._of(A, m, _reduced(out, mod), den)

@@ -34,6 +34,7 @@ from conftest import (
     reference_poly_quotient,
     reference_quaternion,
     reference_tensor_product,
+    unitriangular_basis,
     upper_triangular_2x2,
 )
 from test_generators import builder_algebras, change_basis
@@ -433,3 +434,40 @@ def test_center_elements_commute():
         for i in range(A.dim):
             e = A.basis_element(i)
             assert zel * e == e * zel
+
+
+# -- the block partition of the product table ---------------------------------
+
+
+def block_count(A):
+    left, right = A._blocks()
+    return len(set(left) | set(right))
+
+
+@given(st.data())
+def test_nonzero_products_stay_within_one_block(data):
+    A = data.draw(builder_algebras())
+    if data.draw(st.booleans()):
+        A = change_basis(data.draw, A)
+    left, right = A._blocks()
+    table = dense_table(A)
+    n = A.dim
+    assert all(left[a] == right[b] for a in range(n) for b in range(n) if any(table[a][b]))
+    assert set(left) | set(right) == set(range(block_count(A)))
+
+
+@pytest.mark.parametrize("field", [QQ, GF(5)])
+def test_block_counts(field):
+    M2, H = build_matrix_algebra(2, field), build_quaternion(-1, 3, field)
+    for n in range(1, 5):
+        assert block_count(build_matrix_algebra(n, field)) == n
+    assert block_count(H) == 1
+    assert block_count(build_tensor_product(M2, H)) == 2
+    assert block_count(opposite(build_matrix_algebra(3, field))) == 3
+    assert block_count(unitriangular_basis(M2, 2)) == 1  # dense M2
+
+
+@given(st.data())
+def test_block_counts_add_over_direct_sums(data):
+    A, B = data.draw(builder_algebras(fields=[QQ])), data.draw(builder_algebras(fields=[QQ]))
+    assert block_count(build_direct_sum(A, B)) == block_count(A) + block_count(B)

@@ -119,15 +119,26 @@ def changed_builders(draw):
     return change_basis(draw, draw(builder_algebras()))
 
 
+def corrupt(A: Algebra, i: int, j: int, k: int, step: int = 1) -> Algebra:
+    """A with `step` added to the coefficient of e_k in e_i * e_j."""
+    F = A.field
+    table = dense_table(A)
+    table[i][j][k] = F.add(table[i][j][k], F.from_int(step))
+    return Algebra(F, table, A.unit, label="perturbed")
+
+
 @st.composite
 def perturbed_builders(draw):
-    """A changed-basis builder algebra with one structure constant moved."""
-    A = draw(changed_builders())
-    n, F = A.dim, A.field
-    i, j, k = (draw(st.integers(0, n - 1)) for _ in range(3))
-    table = dense_table(A)
-    table[i][j][k] = F.add(table[i][j][k], F.one)
-    return Algebra(F, table, A.unit, label="perturbed")
+    """A builder algebra with one structure constant moved, in its own
+    basis, where most products of matrix units vanish, or a changed one."""
+    A = draw(builder_algebras())
+    if draw(st.booleans()):
+        A = change_basis(draw, A)
+    i, j, k = (draw(st.integers(0, A.dim - 1)) for _ in range(3))
+    return corrupt(A, i, j, k, draw(st.sampled_from([1, -1])))
+
+
+M2 = build_matrix_algebra(2, QQ)
 
 
 # the unit laws fail and the generator (1,) passes every triple, yet
@@ -137,6 +148,12 @@ UNITLESS = Algebra(GF(2), [[[0, 1], [1, 0]], [[0, 1], [0, 1]]], [1, 0], label="u
 
 @given(A=st.one_of(random_tables(), changed_builders(), perturbed_builders()))
 @example(A=UNITLESS)
+# in M2, e_01 e_01 = e_00 keeps the unit laws, so the generators are
+# scanned, and fails first at a triple where only e_i e_j vanishes;
+# e_00 e_00 = e_00 + e_11 breaks 1 * e_00, so every index is scanned, and
+# fails first at a triple where only e_j e_k vanishes
+@example(A=corrupt(M2, 1, 1, 0))
+@example(A=corrupt(M2, 0, 0, 3))
 def test_light_test_matches_full_scan(A):
     gens = A.generators()
     assert list(gens) == sorted(set(gens))

@@ -16,7 +16,9 @@ from rbraid import (
     build_matrix_algebra,
     build_poly_quotient,
     build_quaternion,
+    build_tensor_product,
     matrix_closed_form,
+    opposite,
     tensor_mul,
     unit_tensor,
 )
@@ -252,6 +254,12 @@ JOIN_ALGEBRAS = [
         build_poly_quotient([1, 2, 0, 1], F),
         build_direct_sum(build_matrix_algebra(2, F), build_poly_quotient([0, 0, 1], F)),
         unitriangular_basis(build_matrix_algebra(2, F), 2),
+        # two blocks; a transposed block pattern; and three blocks, one of
+        # them (k[x]/(x^2), where x * x = 0) with a zero product inside
+        build_tensor_product(build_matrix_algebra(2, F), build_quaternion(-1, 3, F)),
+        opposite(build_matrix_algebra(3, F)),
+        build_direct_sum(build_direct_sum(build_matrix_algebra(2, F), build_quaternion(-1, 3, F)),
+                         build_poly_quotient([0, 0, 1], F)),
     )
 ]
 
@@ -327,6 +335,22 @@ def test_tensor_mul_of_operands_with_no_surviving_pair(data):
         product = tensor_mul(x, y)
         assert product == all_pairs_product(x, y) == zero
         assert product.den == 1
+
+
+def test_tensor_mul_of_operands_whose_block_signatures_never_meet(m2):
+    # in M2 the matrix units e_00, e_01, e_10, e_11 are 0, 1, 2, 3; every
+    # pair of monomials below survives on one leg and vanishes on the other
+    left, right = m2._blocks()
+    one = QQ.one
+    s = TensorElement.from_terms(m2, 2, [((0, 0), one), ((1, 1), one)])
+    t = TensorElement.from_terms(m2, 2, [((0, 2), one), ((2, 0), one), ((1, 3), one)])
+    s_signatures = {tuple(left[a] for a in ds) for ds in s.ints}
+    t_signatures = {tuple(right[b] for b in dt) for dt in t.ints}
+    assert s_signatures and t_signatures and not s_signatures & t_signatures
+    assert all(any(basis_products(m2)[a][b] for a, b in zip(ds, dt))
+               for ds in s.ints for dt in t.ints)
+    zero = TensorElement.from_terms(m2, 2, [])
+    assert tensor_mul(s, t) == all_pairs_product(s, t) == zero
 
 
 # -- the stored form: integers over one denominator --------------------------
