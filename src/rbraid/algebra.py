@@ -304,8 +304,10 @@ class AlgebraElement:
 
 
 def validate_algebra(algebra: Algebra) -> CheckReport:
-    """Check the unit laws and associativity.
+    """Check the unit laws and associativity, both on the integer table.
 
+    The unit laws are checked as 1 e_i = e_i, then e_i 1 = e_i, for each i
+    in turn; the first failing side, in field values, is the witness.
     Once the unit laws pass, only the triples (g, e_j, e_k) with g among
     the generators are checked (Light's test): the left nucleus {x :
     (xy)z = x(yz) for all y, z} is a subspace that holds 1 and is closed
@@ -325,23 +327,32 @@ def validate_algebra(algebra: Algebra) -> CheckReport:
     fmt = F.format
     results = []
 
-    unit_ok = True
-    witness = None
-    for i in range(algebra.dim):
-        e = algebra.basis_element(i).coords
-        lhs = algebra.mul_coords(algebra.unit, e)
-        rhs = algebra.mul_coords(e, algebra.unit)
-        if lhs != e:
-            unit_ok, witness = False, f"1*e_{i} = {[fmt(c) for c in lhs]}"
-            break
-        if rhs != e:
-            unit_ok, witness = False, f"e_{i}*1 = {[fmt(c) for c in rhs]}"
-            break
-    results.append(CheckResult("unit", unit_ok, witness))
-
     n = algebra.dim
     prods, mod, scale = algebra._int_products()
     by_right = [[prods[m][k] for m in range(n)] for k in range(n)]  # e_m * e_k by k, m
+
+    # 1 e_i and e_i 1 on the table's integers: both sides carry the scale
+    # of the unit times the table's scale, and e_i is that scale at i
+    (unit,), uscale = _to_ints((dict(enumerate(algebra.unit)),))
+    unit_terms = list(unit.items())
+    one = uscale * scale  # 1 over GF(p), where both scales are 1
+
+    def values(side):
+        return [fmt(F.div(F.from_int(side.get(t, 0)), F.from_int(one))) for t in range(n)]
+
+    witness = None
+    for i in range(n):
+        e = {i: one}
+        lhs = _expand(unit_terms, by_right[i], mod)  # 1 e_i
+        if lhs != e:
+            witness = f"1*e_{i} = {values(lhs)}"
+            break
+        rhs = _expand(unit_terms, prods[i], mod)     # e_i 1
+        if rhs != e:
+            witness = f"e_{i}*1 = {values(rhs)}"
+            break
+    unit_ok = witness is None
+    results.append(CheckResult("unit", unit_ok, witness))
 
     # for a zero e_i e_j only the k with e_j e_k nonzero, in ascending order
     survivors = [[k for k in range(n) if row[k]] for row in prods]

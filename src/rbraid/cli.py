@@ -69,10 +69,11 @@ MAX_BUILD_DIM = 64
 # The square bimodule of a dimension-4 algebra, cubed, is at the limit.
 MAX_AUDIT_DIM = 4096
 
-# The naturality check of an audit builds the square bimodule and works in
-# its tensor square, of dimension (dim A)**4, whatever the triple; a larger
-# one is refused before the solve unless --force is given.  M3's, 9**4, is
-# at the limit.
+# The naturality check of an audit runs on A (x) A (x) A when its guards
+# hold; only its fallback builds the square bimodule and eliminates in its
+# tensor square, of dimension (dim A)**4, whatever the triple.  For that
+# fallback a larger one is refused before the solve unless --force is
+# given.  M3's, 9**4, is at the limit.
 _MAX_NATURALITY_DIM = 6561
 
 

@@ -11,6 +11,7 @@ from hypothesis import example, given, settings, strategies as st
 from rbraid import (
     GF,
     QQ,
+    Algebra,
     Bimodule,
     Matrix,
     TensorElement,
@@ -22,6 +23,7 @@ from rbraid import (
     build_matrix_algebra,
     build_poly_quotient,
     build_quaternion,
+    build_tensor_product,
     canonical_morphism,
     certify,
     check_bimodule,
@@ -36,6 +38,8 @@ from rbraid import (
     square_bimodule,
     tensor_over_A,
     unit_tensor,
+    validate_algebra,
+    verify_rmatrix,
     zeta_map,
 )
 from rbraid import bimodules
@@ -43,7 +47,10 @@ from rbraid.bimodules import (
     QuotientMap,
     QuotientSpace,
     _KronChain,
+    _closed_naturality,
+    _naturality,
     _r_operator,
+    _square_braiding,
     associator,
     extended_invariants,
     induced_map,
@@ -593,10 +600,11 @@ def test_audit_builds_each_map_once(monkeypatch):
     assert report.passed, report.failures
     for name, keys in calls.items():
         assert len(keys) == len(set(keys)), name
-    # 2 whiskered braidings, 4 naturality maps, and the induced map inside
-    # each of the 3 braidings
+    # 2 whiskered braidings and the induced map inside each of the 3
+    # braidings; naturality runs on A (x) A (x) A, with no induced map
+    # and no canonical morphism
     assert {name: len(keys) for name, keys in calls.items()} == {
-        "associator": 2, "induced_map": 9, "braiding_map": 3, "canonical_morphism": 2}
+        "associator": 2, "induced_map": 5, "braiding_map": 3, "canonical_morphism": 0}
 
 
 def test_audit_failed_build_is_not_reused(monkeypatch, m2, cert):
@@ -830,3 +838,193 @@ def test_bimodule_map_scans_every_index_when_unlawful():
     assert not is_bimodule_map(M, Bimodule(A, left, M.right, "bent"), eye4)
     # only a (false) claim of the laws lets the scan skip e_11
     assert is_bimodule_map(M, Bimodule(A, left, M.right, "bent", lawful=True), eye4)
+
+
+# -- naturality on S (x)_A S = A (x) A (x) A -----------------------------------
+#
+# The references below write the identification Q: (x (x) y) (x) (z (x) w)
+# -> x (x) yz (x) w and the representatives (x (x) y) (x) (1 (x) w) in field
+# values, from `mul_coords`, and compare the closed forms with the
+# eliminated quotient S (x)_A S that the ambient path builds.
+
+
+def collapse_reference(A):
+    """Q as an n^3 x n^4 matrix: the ambient basis vector of
+    (e_x (x) e_y) (x) (e_z (x) e_w) goes to e_x (x) e_y e_z (x) e_w."""
+    F, n = A.field, A.dim
+    e = [A.basis_element(i).coords for i in range(n)]
+    rows = [{} for _ in range(n ** 3)]
+    for x in range(n):
+        for y in range(n):
+            for z in range(n):
+                for k, c in enumerate(A.mul_coords(e[y], e[z])):
+                    for w in range(n):
+                        if c:
+                            rows[(x * n + k) * n + w][((x * n + y) * n + z) * n + w] = c
+    return Matrix(F, n ** 3, n ** 4, rows)
+
+
+def representatives_reference(A):
+    """sigma as an n^4 x n^3 matrix: x (x) y (x) w -> (x (x) y) (x) (1 (x) w)."""
+    F, n = A.field, A.dim
+    rows = [{} for _ in range(n ** 4)]
+    for x in range(n):
+        for y in range(n):
+            for w in range(n):
+                for z, u in enumerate(A.unit):
+                    if u:
+                        rows[((x * n + y) * n + z) * n + w][(x * n + y) * n + w] = u
+    return Matrix(F, n ** 4, n ** 3, rows)
+
+
+def relations_of(q):
+    return Matrix(q.field, len(q.relation_rows()), q.ambient_dim,
+                  [dict(r) for r in q.relation_rows()])
+
+
+@st.composite
+def separable_builders(draw):
+    """Scalar, matrix, quaternion and tensor-product algebras of dimension
+    at most 4 over Q or GF(p), each one with an R-matrix, in their
+    builders' bases or a unitriangular one with a dense unit."""
+    F = draw(st.sampled_from([QQ, GF(3), GF(5), GF(7)]))
+    kind = draw(st.sampled_from(["scalar", "matrix", "quaternion", "tensor"]))
+    if kind == "scalar":
+        A = build_matrix_algebra(1, F)
+    elif kind == "matrix":
+        A = build_matrix_algebra(2, F)
+    elif kind == "quaternion":
+        units = st.sampled_from([1, -1, 2, 3]).filter(lambda a: F.is_invertible(F.coerce(a)))
+        A = build_quaternion(draw(units), draw(units), F)
+    else:
+        A = build_tensor_product(build_matrix_algebra(2, F), build_matrix_algebra(1, F))
+    if draw(st.booleans()):
+        A = unitriangular_basis(A, draw(st.integers(0, 2 ** 16)))
+    return A
+
+
+@settings(max_examples=25, deadline=None)
+@given(separable_builders())
+@example(dense_m2())
+def test_square_closed_form_matches_eliminated_quotient(A):
+    # Q kills every balancing relation of S (x) S and has rank n^3, the
+    # dimension of the eliminated quotient, so T = Q . section is an
+    # isomorphism; the closed c(S,S) is the eliminated one conjugated by T
+    F, n = A.field, A.dim
+    cert = solve_rmatrix(A)
+    S = square_bimodule(A)
+    q = tensor_over_A(S, S)
+    Q = collapse_reference(A)
+    assert (Q @ relations_of(q).transpose()).is_zero()
+    assert Q.rank() == n ** 3 == q.dim
+    T = Q @ q.section
+    assert _square_braiding(cert) @ T == T @ braiding_map(cert, S, S).matrix
+    # on any tensor, valid or not, the closed form is Q c sigma, c being
+    # the ambient operator m (x) n -> R1.n.R2 (x) m.R3
+    bad = RMatrixCertificate(A, cert.r + unit_tensor(A, 3), CheckReport([]))
+    for c in (cert, bad):
+        assert _square_braiding(c) == (
+            Q @ _r_operator(c, S, S.right) @ representatives_reference(A))
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.sampled_from(sorted(STRUCTURED_ALGEBRAS)), st.sampled_from(KINDS),
+       st.sampled_from(KINDS), st.integers(0, 2 ** 32))
+@example("dense M2/Q", "square", "free:2", 0)
+def test_closed_products_are_projected_ambient_products(name, m, n, seed):
+    # f_x (x) g_y on A (x) A (x) A is P (f_x (x) g_y) sigma: for lawful
+    # operands, and for a left operand whose right action breaks the laws
+    # it claims, where the representative sigma is the only one that
+    # gives it (the right one keeps its unit law, which sigma uses)
+    A, cert = solved(name)
+    F = A.field
+    rng = random.Random(seed)
+    M, N = bimodule_of(A, m), bimodule_of(A, n)
+    right = list(M.right)
+    right[-1] = right[-1] + Matrix.identity(F, M.dim)
+    bent = Bimodule(A, M.left, right, "bent", lawful=True)
+    sigma = representatives_reference(A)
+    for X, Y in ((M, N), (bent, N)):
+        product, _ = _closed_naturality(cert, X, Y)
+        x, y = ([F.coerce(rng.randrange(-2, 3)) for _ in range(Z.dim)] for Z in (X, Y))
+        f, g = canonical_morphism(X, x), canonical_morphism(Y, y)
+        assert product(X, x, Y, y, "f (x) g") == (
+            tensor_over_A(X, Y).projection @ f.kron(g) @ sigma)
+
+
+def test_closed_naturality_needs_every_guard(m2, cert):
+    # each failed guard sends the audit to the ambient path
+    reg = regular_bimodule(m2)
+    assert _closed_naturality(cert, reg, reg) is not None
+    # R + 1 (x) 1 (x) 1 fails c1, whatever its report says
+    r = cert.r + unit_tensor(m2, 3)
+    assert not verify_rmatrix(m2, r)["c1"].passed
+    assert _closed_naturality(RMatrixCertificate(m2, r, cert.checks), reg, reg) is None
+    # a bimodule that does not claim the laws
+    unlawful = Bimodule(m2, list(reg.left), list(reg.right), "regular")
+    assert _closed_naturality(cert, reg, unlawful) is None
+    assert _closed_naturality(cert, unlawful, reg) is None
+    # an algebra that fails the unit laws, where c1 holds and the regular
+    # bimodule's builder claims the laws
+    doubled = Algebra(QQ, [[[1]]], [2], label="doubled unit")
+    assert not validate_algebra(doubled).passed
+    r = TensorElement.from_terms(doubled, 3, [((0, 0, 0), QQ.one)])
+    assert verify_rmatrix(doubled, r)["c1"].passed
+    one = regular_bimodule(doubled)
+    assert _closed_naturality(RMatrixCertificate(doubled, r, CheckReport([])), one, one) is None
+
+
+def lawful_copy(M):
+    """A distinct Bimodule with the same matrices, label and laws."""
+    return Bimodule(M.algebra, list(M.left), list(M.right), M.label, lawful=True)
+
+
+@pytest.mark.parametrize("name, kinds", [
+    ("M2/Q", ("regular", "regular", "regular")),
+    ("H(-1,-1)/GF(7)", ("square", "square", "square")),
+    ("H(-1,-1)/Q", ("regular", "square", "free:2")),
+    ("dense M2/GF(7)", ("free:2", "regular", "square")),
+    ("M2/GF(5)", ("square", "free:3", "regular")),
+])
+def test_closed_and_ambient_naturality_agree(monkeypatch, name, kinds):
+    # the audit with the closed comparison gives the bytes of the audit
+    # on the eliminated quotient alone, and so does the closed comparison
+    # itself when c(M,N) is perturbed by the identity, which fails at the
+    # first sample pair whose f_m (x) g_n is nonzero
+    A, cert = solved(name)
+    F = A.field
+    operands = [lawful_copy(bimodule_of(A, kind)) for kind in kinds]
+    M, N = operands[0], operands[1]
+    if N.left == M.left and N.right == M.right:
+        N = M  # as the audit replaces it
+    assert _naturality(M, N, braiding_map(cert, M, N).matrix,
+                       *_closed_naturality(cert, M, N)).passed
+    closed = audit_braiding(cert, *operands)
+    assert closed.passed, closed.failures
+    with monkeypatch.context() as patch:
+        patch.setattr(bimodules, "_closed_naturality", lambda *args: None)
+        ambient = audit_braiding(cert, *operands)
+    assert json.dumps(closed.to_json()) == json.dumps(ambient.to_json())
+
+    original, built = bimodules.braiding_map, []
+
+    def perturbed(cert, X, Y):
+        c = original(cert, X, Y)
+        if not built:  # c(M,N), the audit's first braiding
+            bad = c.matrix + Matrix.identity(F, c.matrix.nrows)
+            c = QuotientMap(c.source, c.target, bad)
+            built.append(bad)
+        return c
+
+    monkeypatch.setattr(bimodules, "braiding_map", perturbed)
+    failing = audit_braiding(cert, *operands)
+    built_bad = built[0]
+    with monkeypatch.context() as patch:
+        patch.setattr(bimodules, "_closed_naturality", lambda *args: None)
+        built.clear()
+        ambient_failing = audit_braiding(cert, *operands)
+    assert json.dumps(failing.to_json()) == json.dumps(ambient_failing.to_json())
+    assert not failing["naturality"].passed
+    assert failing["naturality"].witness.startswith("square fails for samples")
+    result = _naturality(M, N, built_bad, *_closed_naturality(cert, M, N))
+    assert (result.passed, result.witness) == (False, failing["naturality"].witness)

@@ -5,6 +5,7 @@ import hashlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -942,3 +943,43 @@ def test_verify_contract_on_arbitrary_tensor_files(tmp_path_factory, spec, tenso
     (folder / "spec.json").write_text(to_text(spec))
     (folder / "r.json").write_text(to_text(tensor))
     run_contract(["verify", str(folder / "spec.json"), str(folder / "r.json")])
+
+
+# M2's R plus 2 e_0 (x) e_1 (x) e_0: every check but n3 fails, and the two
+# cyclic rotations first differ from R at different monomials, so the
+# report pins which rotation each of cyc1 and cyc2 applies
+CYCLE_PROBE_R = (
+    '{"arity": 3, "coeffs": [{"monomial": [0, 0, 0], "value": "1"}, '
+    '{"monomial": [0, 2, 1], "value": "1"}, {"monomial": [1, 0, 2], "value": "1"}, '
+    '{"monomial": [1, 2, 3], "value": "1"}, {"monomial": [2, 1, 0], "value": "1"}, '
+    '{"monomial": [2, 3, 1], "value": "1"}, {"monomial": [3, 1, 2], "value": "1"}, '
+    '{"monomial": [3, 3, 3], "value": "1"}, {"monomial": [0, 1, 0], "value": "2"}]}')
+CYCLE_PROBE_REPORT = (
+    '{"command":"verify",'
+    '"input_sha256":"02a646df5295b7388eb654227a34f031c6d1b0c7b5d5cdbc538430ab103394d6",'
+    '"payload":{"algebra":"matrix(2)/QQ","checks":{'
+    '"c1":{"passed":false,"witness":"a=e_1, monomial (1, 1, 0): 0 != 2"},'
+    '"c2":{"passed":false,"witness":"a=e_0, monomial (0, 1, 0): 2 != 0"},'
+    '"c3":{"passed":false,"witness":"a=e_1, monomial (0, 1, 1): 0 != 2"},'
+    '"cyc1":{"passed":false,"witness":"monomial (0, 1, 0): 0 != 2"},'
+    '"cyc2":{"passed":false,"witness":"monomial (0, 0, 1): 2 != 0"},'
+    '"h1":{"passed":false,"witness":"monomial (0, 0, 1, 0): 0 != 2"},'
+    '"h2":{"passed":false,"witness":"monomial (0, 0, 1, 0): 2 != 4"},'
+    '"inv1":{"passed":false,"witness":"monomial (1, 0, 0): 4 != 0"},'
+    '"inv2":{"passed":false,"witness":"monomial (0, 1, 0): 4 != 0"},'
+    '"n1":{"passed":false,"witness":"monomial (1, 0): 2 != 0"},'
+    '"n2":{"passed":false,"witness":"monomial (1, 0): 2 != 0"},'
+    '"n3":true,'
+    '"q1":{"passed":false,"witness":"monomial (0, 0, 1, 0): 2 != 0"},'
+    '"q2":{"passed":false,"witness":"monomial (0, 0, 1, 0): 4 != 2"}},'
+    '"rmatrix_sha256":"29d55e6bab4ce110d576a5f167bcf6b5fe30d3b792686b1e6240aa4d3a3c2f34"},'
+    '"status":"fail"}')
+
+
+def test_verify_failure_report_bytes_pinned(tmp_path, capsys):
+    (tmp_path / "m2.json").write_text(json.dumps(M2))
+    (tmp_path / "r.json").write_text(CYCLE_PROBE_R)
+    code = main(["verify", str(tmp_path / "m2.json"), str(tmp_path / "r.json")])
+    out = capsys.readouterr().out.strip()
+    assert code == 1
+    assert re.sub(r',"timing_ms":[^,}]*', "", out) == CYCLE_PROBE_REPORT

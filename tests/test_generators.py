@@ -1,6 +1,8 @@
 """One generating set per algebra: Light's associativity test and the
 fixed-point eliminations over generators, each against the all-basis
 computation it replaces."""
+from fractions import Fraction
+
 from hypothesis import example, given, strategies as st
 
 from rbraid import (
@@ -166,6 +168,52 @@ def test_light_test_matches_full_scan(A):
         assert A.fixed_point_indices() == range(A.dim)
         L, R = A.left_mult_matrices(), A.right_mult_matrices()
         assert center(A) == nullspace_from_echelon(_difference_echelon(A.field, A.dim, zip(L, R)))
+
+
+def unit_witness(A: Algebra):
+    """Reference unit-law check in field values: the witness of the first
+    failing side, 1 e_i before e_i 1 for each i in turn, or None."""
+    F, mul = A.field, A.mul_coords
+    for i in range(A.dim):
+        e = A.basis_element(i).coords
+        for text, side in ((f"1*e_{i}", mul(A.unit, e)), (f"e_{i}*1", mul(e, A.unit))):
+            if side != e:
+                return f"{text} = {[F.format(c) for c in side]}"
+    return None
+
+
+@st.composite
+def unit_perturbed_builders(draw):
+    """A builder algebra, in its own basis or a changed one, with its unit
+    moved by +-1 or a small multiple at one or two coordinates."""
+    A = draw(builder_algebras())
+    if draw(st.booleans()):
+        A = change_basis(draw, A)
+    F = A.field
+    steps = [1] if F.characteristic == 2 else [1, -1, 2, Fraction(1, 2)]
+    unit = list(A.unit)
+    for _ in range(draw(st.integers(1, 2))):
+        k = draw(st.integers(0, A.dim - 1))
+        unit[k] = F.add(unit[k], F.coerce(draw(st.sampled_from(steps))))
+    return Algebra(F, dense_table(A), unit, label="unit moved")
+
+
+@given(A=st.one_of(unit_perturbed_builders(), builder_algebras(), random_tables()))
+@example(A=UNITLESS)
+# M2 with 1 = e_00 + e_11 moved by e_01, by e_10 and by both: e_0 = e_00
+# fails on the right only, on the left only, and on both sides
+@example(A=Algebra(QQ, dense_table(M2), [1, 1, 0, 1], label="e_01 added"))
+@example(A=Algebra(QQ, dense_table(M2), [1, 0, 1, 1], label="e_10 added"))
+@example(A=Algebra(QQ, dense_table(M2), [1, 1, 1, 1], label="both added"))
+@example(A=Algebra(QQ, dense_table(M2), [1, Fraction(1, 2), 0, 1], label="e_01/2 added"))
+# i^2 = 1/2 puts the table over the scale 2
+@example(A=Algebra(QQ, dense_table(build_quaternion(Fraction(1, 2), 3, QQ)), [1, 0, 1, 0],
+                   label="j added"))
+def test_unit_laws_match_field_value_reference(A):
+    witness = unit_witness(A)
+    report = validate_algebra(A)
+    assert report["unit"].passed == (witness is None)
+    assert report["unit"].witness == witness
 
 
 def state(ech):
