@@ -13,14 +13,15 @@ factorization: section . projection is a projector whose kernel is the
 relation span, so a projected ambient map X kills every relation
 exactly when X = (X . section) . projection.
 
-The audit's naturality check needs S (x)_A S for the square bimodule
-S = A (x) A, an n^4-dimensional ambient.  Under guards it runs instead on
-A (x) A (x) A, which the collapse (x (x) y) (x) (z (x) w) -> x (x) yz (x) w
-identifies with that quotient (proof at `audit_braiding`), and only the
-fallback still eliminates in the ambient.
+The audit's naturality check compares maps out of S (x)_A S for the
+square bimodule S = A (x) A.  It never eliminates in that n^4-dimensional
+ambient: it runs on A (x) A (x) A, which the collapse
+(x (x) y) (x) (z (x) w) -> x (x) yz (x) w identifies with the quotient
+(proof at `audit_braiding`).
 """
 from __future__ import annotations
 
+from functools import cache
 from math import lcm
 
 from .algebra import Algebra, _expand, validate_algebra
@@ -584,23 +585,6 @@ def _equal_bimodules(X: Bimodule, Y: Bimodule) -> bool:
                       and X.left == Y.left and X.right == Y.right)
 
 
-def _naturality(M: Bimodule, N: Bimodule, c_mn: Matrix, product,
-                c_square: Matrix) -> CheckResult:
-    """The square c(M,N) (f_m (x) g_n) = (g_n (x) f_m) c(S,S) on each pair
-    of samples, in sample order, with the first failing pair as the
-    witness; f_m is the canonical morphism a (x) b -> a.m.b from the
-    square bimodule S, and `product(X, x, Y, y, what)` gives f_x (x) f_y
-    in the coordinates of S (x)_A S that `c_square` acts on."""
-    for mi, mvec in enumerate(_naturality_samples(M)):
-        for ni, nvec in enumerate(_naturality_samples(N)):
-            fg = product(M, mvec, N, nvec, "f_m (x) g_n")
-            gf = product(N, nvec, M, mvec, "g_n (x) f_m")
-            if gf @ c_square != c_mn @ fg:
-                return CheckResult("naturality", False,
-                                   f"square fails for samples (m{mi}, n{ni})")
-    return CheckResult("naturality", True)
-
-
 def _square_braiding(cert: RMatrixCertificate) -> Matrix:
     """c(S,S) on A (x) A (x) A, with x (x) y (x) w at (x*n + y)*n + w:
     x (x) y (x) w -> sum R1 (x) w R2 x (x) y R3, about nnz(R) n^3 table
@@ -630,29 +614,46 @@ def _square_braiding(cert: RMatrixCertificate) -> Matrix:
                       cert.r.den * scale ** 3)
 
 
-def _closed_naturality(cert: RMatrixCertificate, M: Bimodule, N: Bimodule):
-    """The arguments (product, c_square) of `_naturality` on S (x)_A S =
-    A (x) A (x) A, or None unless A validates, M and N are lawful and the
-    certificate's R passes `c1` (recomputed here, not read off its
-    report): the conditions under which `audit_braiding` proves that the
-    comparison there decides the one on the eliminated quotient."""
+def _closed_product(X: Bimodule, x: list, Y: Bimodule, y: list) -> Matrix:
+    """f_x (x) f_y on A (x) A (x) A: x' (x) y' (x) w -> (x'.x.y') (x) (y.w),
+    projected into X (x)_A Y."""
+    f, g = _translates(X, x)[0], _translates(Y, y)[1]
+    return tensor_over_A(X, Y).projection @ _KronChain((f, Y.dim, False),
+                                                       (g, X.algebra.dim ** 2, True))
+
+
+def _closed_naturality(cert: RMatrixCertificate, M: Bimodule, N: Bimodule,
+                       c_mn: Matrix) -> CheckResult:
+    """The square c(M,N) (f_m (x) g_n) = (g_n (x) f_m) c(S,S) on each pair
+    of samples, in sample order, with the first failing pair as the
+    witness; f_m is the canonical morphism a (x) b -> a.m.b from the
+    square bimodule S, and both sides act on S (x)_A S = A (x) A (x) A.
+    `audit_braiding` proves that this decides the comparison on the
+    eliminated quotient when A validates and M and N are lawful.  So the
+    check is not evaluated over an algebra that fails validation, an
+    operand that does not claim the laws goes through `check_bimodule`
+    (a pass marks it `lawful`), and one that fails it is not evaluated.
+    An R that fails `c1` (recomputed here, not read off the certificate's
+    report) gets the witness of c(S,S) on the eliminated quotient, which
+    is then ill-defined."""
     A = cert.algebra
-    if not (M.lawful and N.lawful and validate_algebra(A).passed
-            and _centralizing_check("c1", A, cert.r, 3, 1, _scan_indices(A)).passed):
-        return None
-    n = A.dim
-    products: dict[tuple, Matrix] = {}
-
-    def product(X: Bimodule, x: list, Y: Bimodule, y: list, what: str) -> Matrix:
-        """x' (x) y' (x) w -> (x'.x.y') (x) (y.w), projected into X (x)_A Y."""
-        key = (X, tuple(x), Y, tuple(y))
-        if key not in products:
-            f, g = _translates(X, x)[0], _translates(Y, y)[1]
-            products[key] = tensor_over_A(X, Y).projection @ _KronChain(
-                (f, Y.dim, False), (g, n * n, True))
-        return products[key]
-
-    return product, _square_braiding(cert)
+    if not validate_algebra(A).passed:
+        return CheckResult("naturality", False, "not evaluated: the algebra fails validation")
+    if not _centralizing_check("c1", A, cert.r, 3, 1, _scan_indices(A)).passed:
+        return CheckResult("naturality", False,
+                           "braiding does not preserve the balancing relations")
+    for X, name in ((M, "M"), (N, "N")):
+        if not (X.lawful or check_bimodule(X).passed):
+            return CheckResult("naturality", False, f"not evaluated: {name} is not a bimodule")
+    c_square = _square_braiding(cert)
+    samples = {X: _naturality_samples(X) for X in (M, N)}
+    product = cache(lambda X, i, Y, j: _closed_product(X, samples[X][i], Y, samples[Y][j]))
+    for mi in range(len(samples[M])):
+        for ni in range(len(samples[N])):
+            if product(N, ni, M, mi) @ c_square != c_mn @ product(M, mi, N, ni):
+                return CheckResult("naturality", False,
+                                   f"square fails for samples (m{mi}, n{ni})")
+    return CheckResult("naturality", True)
 
 
 def audit_braiding(cert: RMatrixCertificate, M: Bimodule, N: Bimodule,
@@ -665,39 +666,42 @@ def audit_braiding(cert: RMatrixCertificate, M: Bimodule, N: Bimodule,
     Each operand is first replaced by the first earlier operand it
     equals (same algebra, dim and action matrices), so equal inputs give
     the same report whether or not they are one object.  Each derived map
-    (associator, braiding, whiskered braiding, canonical morphism,
-    naturality map) is built once per audit, keyed by its operand
-    objects: a triple that repeats one bimodule reuses the maps its slots
-    share.  Nothing outlives the call, and a build that raises stores no
+    (associator, braiding, whiskered braiding) is built once per audit,
+    keyed by its operand objects: a triple that repeats one bimodule
+    reuses the maps its slots share.  Nothing outlives the call, and a build that raises stores no
     map (an ill-defined braiding ends the audit before the hexagons), so
     every check sees what a fresh build gives.
 
     Naturality compares c(M,N) (f_m (x) g_n) with (g_n (x) f_m) c(S,S) as
-    maps out of S (x)_A S, S being the square bimodule.  When A validates,
-    M and N are lawful and R passes `c1`, the comparison runs on
-    A (x) A (x) A (`_closed_naturality`); if a guard fails or a pair
-    differs, it runs again on the eliminated quotient, which alone gives
-    the verdict and the witness of a failure.  Why the first run decides:
+    maps out of S (x)_A S, S being the square bimodule, and decides it on
+    A (x) A (x) A (`_closed_naturality`).  Why that is the comparison on
+    the eliminated quotient, for a validated A and lawful M and N:
 
     - Q: (x (x) y) (x) (z (x) w) -> x (x) yz (x) w kills every balancing
       relation (x (x) ya) (x) (z (x) w) - (x (x) y) (x) (az (x) w), by
       associativity, and sigma(x (x) y (x) w) = (x (x) y) (x) (1 (x) w) has
       Q sigma = 1, by the unit law; sigma Q t - t is the relation of
-      a = z for t = (x (x) y) (x) (z (x) w), so the kernel of Q is the relation span and the quotient
-      has dimension n^3.  With P and Sec the quotient's projection and
-      section, T = Q Sec is an isomorphism, and Q = T P.
-    - `c1`, sum R1 (x) R2 (x) aR3 = sum R1 a (x) R2 (x) R3, makes the ambient
-      braiding c of S (x) S send each relation to 0, so it preserves the
-      relation span; its closed form c' = Q c sigma, x (x) y (x) w ->
-      sum R1 (x) w R2 x (x) y R3, satisfies c' T = Q c sigma Q Sec
-      = Q c Sec = Q Sec P c Sec = T c(S,S).
+      a = z for t = (x (x) y) (x) (z (x) w), so the kernel of Q is the
+      relation span and the quotient has dimension n^3.  With P and Sec
+      the quotient's projection and section, T = Q Sec is an isomorphism,
+      and Q = T P.
+    - The ambient braiding c of S (x) S, m (x) n -> R1.n.R2 (x) m.R3,
+      sends the relation above to a vector that Q maps to
+      sum R1 z (x) w R2 x (x) y a R3 - R1 a z (x) w R2 x (x) y R3.  That is
+      zero for all x, y, z, w exactly when `c1`, sum R1 (x) R2 (x) aR3 =
+      sum R1 a (x) R2 (x) R3, holds (take x = y = z = w = 1; conversely
+      apply u (x) v (x) t -> uz (x) wvx (x) yt to c1).  So c(S,S) is well
+      defined exactly when c1 holds, and then its closed form
+      c' = Q c sigma, x (x) y (x) w -> sum R1 (x) w R2 x (x) y R3, satisfies
+      c' T = Q c sigma Q Sec = Q c Sec = Q Sec P c Sec = T c(S,S).
     - Lawful M and N make a (x) b -> a.m.b a bimodule map, so f_m (x) g_n
       sends relations to relations, and its closed form
       P (f_m (x) g_n) sigma: x (x) y (x) w -> P((x.m.y) (x) (n.w)) equals
       (f_m (x) g_n) T^-1 on the quotient; the same holds for g_n (x) f_m.
 
     So both closed sides are the eliminated sides times T^-1, and they
-    are equal exactly when the eliminated ones are.  Every column of
+    are equal exactly when the eliminated ones are: the first differing
+    sample pair is the same on both.  Every column of
     A (x) A (x) A is compared: on the generators (1 (x) e_y) (x) (1 (x) 1)
     alone both sides are one formula, and the check would only repeat
     the well-definedness of c(M,N).
@@ -829,35 +833,7 @@ def audit_braiding(cert: RMatrixCertificate, M: Bimodule, N: Bimodule,
     except RBraidError as exc:
         results.append(CheckResult("hexagon2", False, str(exc)))
 
-    # Naturality against the canonical morphisms of the square bimodule:
-    # on A (x) A (x) A when the guards hold, else (and to find the witness
-    # of a failure) on the eliminated S (x)_A S.
-    closed = _closed_naturality(cert, M, N)
-    result = None if closed is None else _naturality(M, N, c_mn.matrix, *closed)
-    if result is None or not result.passed:
-        try:
-            a2 = square_bimodule(cert.algebra)
-            c_square = braid(a2, a2)
-            q_a2 = tensor_over_A(a2, a2)
-
-            def morphism(X: Bimodule, x: list) -> Matrix:
-                return once(("canonical", X, tuple(x)), lambda: canonical_morphism(X, x))
-
-            def product(X: Bimodule, x: list, Y: Bimodule, y: list, what: str) -> Matrix:
-                """f_x (x) f_y = (f_x (x) I)(I (x) f_y) from the square of the
-                square bimodule to X (x) Y."""
-                def build():
-                    f, g = morphism(X, x), morphism(Y, y)
-                    return induced_map(q_a2, tensor_over_A(X, Y),
-                                       _KronChain((f, Y.dim, False), (g, f.ncols, True)),
-                                       what=what)
-                return once(("f (x) f", X, tuple(x), Y, tuple(y)), build).matrix
-
-            result = _naturality(M, N, c_mn.matrix, product, c_square.matrix)
-        except RBraidError as exc:
-            result = CheckResult("naturality", False, str(exc))
-    results.append(result)
-
+    results.append(_closed_naturality(cert, M, N, c_mn.matrix))
     return CheckReport(results)
 
 

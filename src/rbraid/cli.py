@@ -69,12 +69,10 @@ MAX_BUILD_DIM = 64
 # The square bimodule of a dimension-4 algebra, cubed, is at the limit.
 MAX_AUDIT_DIM = 4096
 
-# The naturality check of an audit runs on A (x) A (x) A when its guards
-# hold; only its fallback builds the square bimodule and eliminates in its
-# tensor square, of dimension (dim A)**4, whatever the triple.  For that
-# fallback a larger one is refused before the solve unless --force is
-# given.  M3's, 9**4, is at the limit.
-_MAX_NATURALITY_DIM = 6561
+# The naturality check of an audit works on A (x) A (x) A, of dimension
+# (dim A)**3, whatever the triple; a larger one than M3's, 9**3, is
+# refused before the solve unless --force is given.
+_MAX_NATURALITY_DIM = 729
 
 
 # -- input format -----------------------------------------------------------
@@ -364,8 +362,8 @@ def _cmd_audit(args, A: Algebra) -> tuple[bool, str, dict]:
     names = [t.strip() for t in args.triple.split(",")]
     if len(names) != 3:
         raise ParseError(f"--triple needs three entries, got {args.triple!r}")
-    if A.dim ** 4 > _MAX_NATURALITY_DIM and not args.force:
-        raise UnsupportedSize(f"naturality works on (dim A)^4 = {A.dim ** 4}, over the audit "
+    if A.dim ** 3 > _MAX_NATURALITY_DIM and not args.force:
+        raise UnsupportedSize(f"naturality works on (dim A)^3 = {A.dim ** 3}, over the audit "
                               f"limit {_MAX_NATURALITY_DIM} (lift with --force)")
     cert, (M, N, P) = _solve(args, A, names)
     report = audit_braiding(cert, M, N, P)

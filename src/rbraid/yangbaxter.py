@@ -17,11 +17,12 @@ rho_A^(x)3 is injective, so a pass on A gives equal Y on both sides and
 a pass on every such V: (dim A)^3 rows instead of (dim V)^3.  The
 transfer is used only when the operator carries its certificate, V is
 `lawful` and larger than A, A validates, the n^2 products L_a R_b are
-independent, and the operator equals a second construction that shares
-no code with the one `build_omega` uses (so a builder bug still fails);
-otherwise, and whenever the regular bimodule fails the equation, the
-products on V decide and give the witness.  `YBOperator` is frozen, so
-the guards, which run once per operator, hold for its lifetime.
+independent (`classify.f_map` is bijective), and the operator equals a
+second construction that shares no code with the one `build_omega` uses
+(so a builder bug still fails); otherwise, and whenever the regular
+bimodule fails the equation, the products on V decide and give the
+witness.  `YBOperator` is frozen, so the guards, which run once per
+operator, hold for its lifetime.
 """
 from __future__ import annotations
 
@@ -29,11 +30,12 @@ from dataclasses import dataclass
 from functools import cached_property
 from math import lcm
 
-from .algebra import Algebra, validate_algebra
+from .algebra import validate_algebra
 from .bimodules import Bimodule, _r_operator, regular_bimodule
 from .checks import CheckResult
+from .classify import f_map
 from .errors import UnsupportedSize, UnverifiedCertificate
-from .linalg import Echelon, IntRows, Matrix, _int_matmul, _reduced
+from .linalg import IntRows, Matrix, _int_matmul, _reduced
 from .rmatrix import RMatrixCertificate
 from .tensor import TensorElement
 
@@ -71,7 +73,7 @@ class YBOperator:
         A = V.algebra
         if (cert is None or not V.lawful or V.dim <= A.dim
                 or not cert.algebra.same_as(A) or not validate_algebra(A).passed
-                or not _faithful(A) or self.omega != _omega_by_columns(cert.r, V)):
+                or not f_map(A).is_bijective() or self.omega != _omega_by_columns(cert.r, V)):
             return None
         return _omega_by_columns(cert.r, regular_bimodule(A)).ints
 
@@ -130,20 +132,6 @@ def _omega_by_columns(r: TensorElement, V: Bimodule) -> Matrix:
     mod = F.characteristic
     return Matrix._of(F, m * m, m * m, [_reduced(row, mod) for row in rows],
                       r.den * dl * dl * dr)
-
-
-def _faithful(A: Algebra) -> bool:
-    """Whether A (x) A^op acts faithfully on A: the n^2 products L_a R_b,
-    flattened, are linearly independent."""
-    n, mod = A.dim, A.field.characteristic
-    ech = Echelon(A.field, n * n)
-    for L in A.left_mult_matrices():
-        for R in A.right_mult_matrices():
-            prod = _int_matmul(L.ints, R.ints, mod)
-            if not ech.insert({x * n + y: v for x, row in enumerate(prod)
-                               for y, v in row.items()}):
-                return False
-    return True
 
 
 # The triple-power products are the one place where dense-ish exact

@@ -48,7 +48,7 @@ from rbraid.bimodules import (
     QuotientSpace,
     _KronChain,
     _closed_naturality,
-    _naturality,
+    _closed_product,
     _r_operator,
     _square_braiding,
     associator,
@@ -59,7 +59,7 @@ from rbraid.bimodules import (
 from rbraid.checks import CheckReport
 from rbraid.rmatrix import RMatrixCertificate
 from rbraid.cli import build_algebra_from_spec
-from rbraid.errors import NotWellDefined, ShapeMismatch
+from rbraid.errors import NotWellDefined, RBraidError, ShapeMismatch
 from conftest import swap_matrix, unitriangular_basis, upper_triangular_2x2
 
 
@@ -927,15 +927,55 @@ def test_square_closed_form_matches_eliminated_quotient(A):
             Q @ _r_operator(c, S, S.right) @ representatives_reference(A))
 
 
+def eliminated_product(X, x, Y, y, what):
+    """Reference: f_x (x) f_y = (f_x (x) I)(I (x) f_y) from the eliminated
+    S (x)_A S to X (x)_A Y, induced from the ambient of S (x) S."""
+    S = square_bimodule(X.algebra)
+    f, g = canonical_morphism(X, x), canonical_morphism(Y, y)
+    return induced_map(tensor_over_A(S, S), tensor_over_A(X, Y),
+                       _KronChain((f, Y.dim, False), (g, f.ncols, True)), what=what).matrix
+
+
+def eliminated_naturality(cert, M, N, c_mn):
+    """Reference: the naturality comparison on the eliminated S (x)_A S,
+    with the n^4-dimensional ambient, as the audit once ran it; the
+    (verdict, witness) it gives, a failed build's witness included.  The
+    samples are e_0 and the all-ones vector (only e_0 in dimension 1)."""
+    F = cert.algebra.field
+    S = square_bimodule(cert.algebra)
+
+    def samples(X):
+        e0 = [F.one] + [F.zero] * (X.dim - 1)
+        return [e0] if X.dim == 1 else [e0, [F.one] * X.dim]
+
+    try:
+        c_square = braiding_map(cert, S, S).matrix
+        for mi, mvec in enumerate(samples(M)):
+            for ni, nvec in enumerate(samples(N)):
+                fg = eliminated_product(M, mvec, N, nvec, "f_m (x) g_n")
+                gf = eliminated_product(N, nvec, M, mvec, "g_n (x) f_m")
+                if gf @ c_square != c_mn @ fg:
+                    return False, f"square fails for samples (m{mi}, n{ni})"
+    except RBraidError as exc:
+        return False, str(exc)
+    return True, None
+
+
+def closed_result(cert, M, N, c_mn):
+    result = _closed_naturality(cert, M, N, c_mn)
+    return result.passed, result.witness
+
+
 @settings(max_examples=25, deadline=None)
 @given(st.sampled_from(sorted(STRUCTURED_ALGEBRAS)), st.sampled_from(KINDS),
        st.sampled_from(KINDS), st.integers(0, 2 ** 32))
 @example("dense M2/Q", "square", "free:2", 0)
 def test_closed_products_are_projected_ambient_products(name, m, n, seed):
     # f_x (x) g_y on A (x) A (x) A is P (f_x (x) g_y) sigma: for lawful
-    # operands, and for a left operand whose right action breaks the laws
-    # it claims, where the representative sigma is the only one that
-    # gives it (the right one keeps its unit law, which sigma uses)
+    # operands, where it is the eliminated reference's map times T^-1, and
+    # for a left operand whose right action breaks the laws it claims,
+    # where the representative sigma is the only one that gives it (the
+    # right one keeps its unit law, which sigma uses)
     A, cert = solved(name)
     F = A.field
     rng = random.Random(seed)
@@ -944,34 +984,85 @@ def test_closed_products_are_projected_ambient_products(name, m, n, seed):
     right[-1] = right[-1] + Matrix.identity(F, M.dim)
     bent = Bimodule(A, M.left, right, "bent", lawful=True)
     sigma = representatives_reference(A)
+    S = square_bimodule(A)
+    T = collapse_reference(A) @ tensor_over_A(S, S).section
     for X, Y in ((M, N), (bent, N)):
-        product, _ = _closed_naturality(cert, X, Y)
         x, y = ([F.coerce(rng.randrange(-2, 3)) for _ in range(Z.dim)] for Z in (X, Y))
         f, g = canonical_morphism(X, x), canonical_morphism(Y, y)
-        assert product(X, x, Y, y, "f (x) g") == (
-            tensor_over_A(X, Y).projection @ f.kron(g) @ sigma)
+        closed = _closed_product(X, x, Y, y)
+        assert closed == tensor_over_A(X, Y).projection @ f.kron(g) @ sigma
+        if X is M:
+            assert closed @ T == eliminated_product(X, x, Y, y, "f (x) g")
 
 
 def test_closed_naturality_needs_every_guard(m2, cert):
-    # each failed guard sends the audit to the ambient path
+    # each guard gives the eliminated reference's result where that
+    # reference means something, and "not evaluated" where it does not
     reg = regular_bimodule(m2)
-    assert _closed_naturality(cert, reg, reg) is not None
-    # R + 1 (x) 1 (x) 1 fails c1, whatever its report says
+    c = braiding_map(cert, reg, reg).matrix
+    assert closed_result(cert, reg, reg, c) == eliminated_naturality(cert, reg, reg, c) == (
+        True, None)
+    # R + 1 (x) 1 (x) 1 fails c1, whatever its report says, and its
+    # c(S,S) does not preserve the balancing relations
     r = cert.r + unit_tensor(m2, 3)
     assert not verify_rmatrix(m2, r)["c1"].passed
-    assert _closed_naturality(RMatrixCertificate(m2, r, cert.checks), reg, reg) is None
-    # a bimodule that does not claim the laws
-    unlawful = Bimodule(m2, list(reg.left), list(reg.right), "regular")
-    assert _closed_naturality(cert, reg, unlawful) is None
-    assert _closed_naturality(cert, unlawful, reg) is None
-    # an algebra that fails the unit laws, where c1 holds and the regular
-    # bimodule's builder claims the laws
+    bad = RMatrixCertificate(m2, r, cert.checks)
+    assert closed_result(bad, reg, reg, c) == eliminated_naturality(bad, reg, reg, c) == (
+        False, "braiding does not preserve the balancing relations")
+    # an operand that does not claim the laws passes check_bimodule, is
+    # marked lawful and compared as the lawful one, also where c(M,N) is
+    # perturbed and the comparison fails
+    bumped = c + Matrix.identity(QQ, c.nrows)
+    for side in (0, 1):
+        for c_mn in (c, bumped):
+            operands = [reg, reg]
+            operands[side] = Bimodule(m2, list(reg.left), list(reg.right), "regular")
+            assert closed_result(cert, *operands, c_mn) == closed_result(cert, reg, reg, c_mn)
+            assert operands[side].lawful
+    assert closed_result(cert, reg, reg, bumped) == eliminated_naturality(cert, reg, reg, bumped)
+    # an operand that fails check_bimodule is not evaluated
+    right = list(reg.right)
+    right[-1] = right[-1] + Matrix.identity(QQ, reg.dim)
+    for side, name in ((0, "M"), (1, "N")):
+        operands = [reg, reg]
+        operands[side] = Bimodule(m2, list(reg.left), right, "bent")
+        assert closed_result(cert, *operands, c) == (
+            False, f"not evaluated: {name} is not a bimodule")
+        assert not operands[side].lawful
+    # nor is an algebra that fails the unit laws, where c1 holds and the
+    # regular bimodule's builder claims the laws
     doubled = Algebra(QQ, [[[1]]], [2], label="doubled unit")
     assert not validate_algebra(doubled).passed
     r = TensorElement.from_terms(doubled, 3, [((0, 0, 0), QQ.one)])
     assert verify_rmatrix(doubled, r)["c1"].passed
     one = regular_bimodule(doubled)
-    assert _closed_naturality(RMatrixCertificate(doubled, r, CheckReport([])), one, one) is None
+    assert closed_result(RMatrixCertificate(doubled, r, CheckReport([])), one, one,
+                         Matrix.identity(QQ, 1)) == (
+        False, "not evaluated: the algebra fails validation")
+
+
+@settings(max_examples=25, deadline=None)
+@given(separable_builders(), st.tuples(*[st.integers(0, 3)] * 3), st.integers(1, 2))
+@example(dense_m2(), (0, 1, 2), 1)
+def test_c1_failure_is_the_ill_defined_square_braiding(A, digits, delta):
+    # R moved at one monomial fails c1 on every algebra here of dimension
+    # above 1 (A e_i is never one-dimensional), and the closed result's
+    # witness is the text the eliminated c(S,S) raises; where c1 holds,
+    # c(S,S) is well defined and the witness is another
+    F, n = A.field, A.dim
+    cert = solve_rmatrix(A)
+    digits = tuple(d % n for d in digits)
+    r = with_coefficient(cert.r, digits, F.add(cert.r.coefficient(digits), F.coerce(delta)))
+    bad = RMatrixCertificate(A, r, cert.checks)
+    reg = regular_bimodule(A)
+    passed, witness = closed_result(bad, reg, reg, braiding_map(cert, reg, reg).matrix)
+    S = square_bimodule(A)
+    if n > 1 or witness == "braiding does not preserve the balancing relations":
+        with pytest.raises(NotWellDefined) as raised:
+            braiding_map(bad, S, S)
+        assert (passed, witness) == (False, str(raised.value))
+    else:
+        braiding_map(bad, S, S)
 
 
 def lawful_copy(M):
@@ -987,24 +1078,20 @@ def lawful_copy(M):
     ("M2/GF(5)", ("square", "free:3", "regular")),
 ])
 def test_closed_and_ambient_naturality_agree(monkeypatch, name, kinds):
-    # the audit with the closed comparison gives the bytes of the audit
-    # on the eliminated quotient alone, and so does the closed comparison
-    # itself when c(M,N) is perturbed by the identity, which fails at the
-    # first sample pair whose f_m (x) g_n is nonzero
+    # the audit's naturality, decided on A (x) A (x) A, gives the verdict
+    # and witness of the comparison on the eliminated quotient: for the
+    # valid braiding, and for c(M,N) perturbed by the identity, which
+    # fails at the first sample pair whose f_m (x) g_n is nonzero
     A, cert = solved(name)
     F = A.field
     operands = [lawful_copy(bimodule_of(A, kind)) for kind in kinds]
     M, N = operands[0], operands[1]
     if N.left == M.left and N.right == M.right:
         N = M  # as the audit replaces it
-    assert _naturality(M, N, braiding_map(cert, M, N).matrix,
-                       *_closed_naturality(cert, M, N)).passed
-    closed = audit_braiding(cert, *operands)
-    assert closed.passed, closed.failures
-    with monkeypatch.context() as patch:
-        patch.setattr(bimodules, "_closed_naturality", lambda *args: None)
-        ambient = audit_braiding(cert, *operands)
-    assert json.dumps(closed.to_json()) == json.dumps(ambient.to_json())
+    c = braiding_map(cert, M, N).matrix
+    assert closed_result(cert, M, N, c) == eliminated_naturality(cert, M, N, c) == (True, None)
+    report = audit_braiding(cert, *operands)
+    assert report.passed, report.failures
 
     original, built = bimodules.braiding_map, []
 
@@ -1016,15 +1103,10 @@ def test_closed_and_ambient_naturality_agree(monkeypatch, name, kinds):
             built.append(bad)
         return c
 
-    monkeypatch.setattr(bimodules, "braiding_map", perturbed)
-    failing = audit_braiding(cert, *operands)
-    built_bad = built[0]
     with monkeypatch.context() as patch:
-        patch.setattr(bimodules, "_closed_naturality", lambda *args: None)
-        built.clear()
-        ambient_failing = audit_braiding(cert, *operands)
-    assert json.dumps(failing.to_json()) == json.dumps(ambient_failing.to_json())
-    assert not failing["naturality"].passed
-    assert failing["naturality"].witness.startswith("square fails for samples")
-    result = _naturality(M, N, built_bad, *_closed_naturality(cert, M, N))
-    assert (result.passed, result.witness) == (False, failing["naturality"].witness)
+        patch.setattr(bimodules, "braiding_map", perturbed)
+        failing = audit_braiding(cert, *operands)
+    reference = eliminated_naturality(cert, M, N, built[0])
+    assert not reference[0] and reference[1].startswith("square fails for samples")
+    assert (failing["naturality"].passed, failing["naturality"].witness) == reference
+    assert closed_result(cert, M, N, built[0]) == reference
