@@ -2,10 +2,12 @@
 
 A Bimodule stores one left-action and one right-action matrix per algebra
 basis element.  The tensor product of two bimodules over the algebra is
-computed as an explicit quotient of the plain tensor product: the span of
-the balancing relations (m.a) (x) n - m (x) (a.n) is eliminated once, and
-the resulting echelon data induce a canonical projection/section pair
-(the section picks the non-pivot coordinates).  Maps between quotients
+computed as an explicit quotient of the plain tensor product by the span
+of the balancing relations (m.a) (x) n - m (x) (a.n).  Its reduced echelon
+form is read off the free basis when one factor is a builder's A (x) k^d,
+and eliminated from the relations otherwise (proof at `tensor_over_A`);
+the echelon data induce a canonical projection/section pair (the section
+picks the non-pivot coordinates).  Maps between quotients
 are always induced from ambient matrices with a machine check that
 relations land in relations; this is exactly where an invalid R-matrix
 certificate manifests, and it raises NotWellDefined.  The check is a
@@ -22,7 +24,7 @@ ambient: it runs on A (x) A (x) A, which the collapse
 from __future__ import annotations
 
 from functools import cache
-from math import lcm
+from math import gcd, lcm
 
 from .algebra import Algebra, _expand, validate_algebra
 from .checks import CheckReport, CheckResult
@@ -50,10 +52,17 @@ class Bimodule:
     the induced quotient bimodules set it, and so does a passing
     `check_bimodule`.  Only then do the fixed-point eliminations use the
     algebra's generators instead of every basis element.
+
+    `free` is set by the builders below and by nothing else: (d, left,
+    right) says the module is A (x) k^d with each action on the A factor,
+    e_a (x) v sitting at a * left[0] + v * left[1] for the a the left
+    action acts on, and at a * right[0] + v * right[1] for the right
+    action.  `tensor_over_A` reads the relation echelon off that layout.
     """
 
     def __init__(self, algebra: Algebra, left: list[Matrix], right: list[Matrix],
-                 label: str = "", lawful: bool = False):
+                 label: str = "", lawful: bool = False,
+                 free: tuple[int, tuple[int, int], tuple[int, int]] | None = None):
         n = algebra.dim
         if len(left) != n or len(right) != n:
             raise ShapeMismatch("need one action matrix per basis element")
@@ -63,6 +72,7 @@ class Bimodule:
         self.right = right
         self.label = label
         self.lawful = lawful
+        self.free = free
         self._invariant_ech: Echelon | None = None
         self._tensor_cache: dict[int, "QuotientSpace"] = {}
 
@@ -75,22 +85,26 @@ def regular_bimodule(A: Algebra) -> Bimodule:
     cache = A._bimodules
     if "regular" not in cache:
         cache["regular"] = Bimodule(A, A.left_mult_matrices(), A.right_mult_matrices(), "regular",
-                                    lawful=True)
+                                    lawful=True, free=(1, (1, 1), (1, 1)))
     return cache["regular"]
 
 
 def square_bimodule(A: Algebra) -> Bimodule:
-    """A (x) A with the outer actions a.(x (x) y).b = ax (x) yb."""
+    """A (x) A with the outer actions a.(x (x) y).b = ax (x) yb, e_x (x) e_y
+    at x * n + y."""
     cache = A._bimodules
     if "square" not in cache:
         left = [_kron_identity(L, A.dim) for L in A.left_mult_matrices()]
         right = [_kron_identity(R, A.dim, inner=True) for R in A.right_mult_matrices()]
-        cache["square"] = Bimodule(A, left, right, "square", lawful=True)
+        # the left action acts on x, the major index; the right one on y
+        cache["square"] = Bimodule(A, left, right, "square", lawful=True,
+                                   free=(A.dim, (A.dim, 1), (1, A.dim)))
     return cache["square"]
 
 
 def free_bimodule(A: Algebra, d: int) -> Bimodule:
-    """A (x) k^d with both actions on the algebra factor."""
+    """A (x) k^d with both actions on the algebra factor, e_a (x) v at
+    a * d + v."""
     if d < 1:
         raise ShapeMismatch("free rank must be >= 1")
     label = f"free({d})"
@@ -98,7 +112,7 @@ def free_bimodule(A: Algebra, d: int) -> Bimodule:
     if label not in cache:
         left = [_kron_identity(L, d) for L in A.left_mult_matrices()]
         right = [_kron_identity(R, d) for R in A.right_mult_matrices()]
-        cache[label] = Bimodule(A, left, right, label, lawful=True)
+        cache[label] = Bimodule(A, left, right, label, lawful=True, free=(d, (d, 1), (d, 1)))
     return cache[label]
 
 
@@ -304,12 +318,37 @@ class QuotientSpace:
 
 
 def tensor_over_A(M: Bimodule, N: Bimodule) -> QuotientSpace:
-    """M (x)_A N as a quotient of the plain tensor product.
+    """M (x)_A N as a quotient of the plain tensor product, cached on the
+    left factor so that repeated audits share the relation echelon.
 
-    Relations are (m.a) (x) n - m (x) (a.n) over the basis elements of
-    M and N and the indices of `Algebra.fixed_point_indices` (their span is
-    the span over all of A); results are cached on the left factor so
-    repeated audits share the elimination work.
+    The relations are (m.a) (x) n - m (x) (a.n).  When A validates, one
+    factor is a builder's (`free`) and the other is lawful, their echelon
+    is read off the free basis (`_free_echelon`); otherwise it is
+    eliminated from the relations over the basis elements of M and N and
+    the indices of `Algebra.fixed_point_indices` (their span is the span
+    over all of A).  Both give the same min-pivot reduced echelon form,
+    which depends on the relation span alone.
+
+    Why the first is the relation span, for a builder N = A (x) V on the
+    right and a lawful M (a builder on the left is the mirror image, with
+    Q: (v (x) e_a) (x) n -> v (x) (e_a.n) and the left action's laws):
+
+    - Q: m (x) (e_x (x) v) -> (m.e_x) (x) v kills every relation, since
+      (m.a).e_x = m.(a e_x), and sigma(m (x) v) = m (x) (1 (x) v) has
+      Q sigma = 1, since m.1 = m.  For t = m (x) (e_x (x) v), t - sigma Q t
+      is the relation of a = e_x and n = 1 (x) v, since e_x 1 = e_x.  So
+      the kernel of Q is the relation span.
+    - In the min-pivot reduced form of a span K, column c is a pivot
+      exactly when some vector of K is e_c plus later columns, that is,
+      when Q(e_c) lies in the span of the images of the later columns.
+      The free columns are the others, and their images are a basis of
+      the span of the images of all later columns.  So the row of a pivot
+      p is e_p - sum c_f e_f over the free f > p, where
+      Q(e_p) = sum c_f Q(e_f).
+    - Q keeps v, and the columns of one v keep their order, so both
+      answers are those of the vectors W = [m.e_x] in (m, x) order, for
+      every v: one Gauss-Jordan pass over the rows of W with its columns
+      in descending order.
     """
     M.algebra.check_same(N.algebra)
     cached = M._tensor_cache.get(id(N))
@@ -318,13 +357,75 @@ def tensor_over_A(M: Bimodule, N: Bimodule) -> QuotientSpace:
     A = M.algebra
     F = A.field
     dm, dn = M.dim, N.dim
-    pairs = ((M.right[i].transpose(), N.left[i].transpose())
-             for i in A.fixed_point_indices(M.lawful and N.lawful))
-    ech = _difference_echelon(F, dm * dn, pairs, q=dn)
+    if (N.free and M.lawful or M.free and N.lawful) and validate_algebra(A).passed:
+        ech = _free_echelon(M, N)
+    else:
+        pairs = ((M.right[i].transpose(), N.left[i].transpose())
+                 for i in A.fixed_point_indices(M.lawful and N.lawful))
+        ech = _difference_echelon(F, dm * dn, pairs, q=dn)
     label = f"({M.label}(x){N.label})/A"
     q = QuotientSpace(F, dm * dn, ech, factors=(M, N), algebra=A, label=label)
     M._tensor_cache[id(N)] = q
     return q
+
+
+def _free_echelon(M: Bimodule, N: Bimodule) -> Echelon:
+    """The relation echelon of M (x)_A N from the free layout of N, or of
+    M when N has none (proof at `tensor_over_A`).  Column k of W is the
+    vector m.e_x at k = m * n + x for a builder N, and e_a.n_j at
+    k = a * dim N + j for a builder M.  Its ambient column for the basis
+    vector v of k^d is base[k] + v * step."""
+    A = M.algebra
+    F, n, mod = A.field, A.dim, A.field.characteristic
+    dm, dn = M.dim, N.dim
+    if N.free:
+        d, (sa, sv), _ = N.free
+        acts, size, step = M.right, dm, sv
+        base = [m * dn + x * sa for m in range(dm) for x in range(n)]
+        K = n * dm
+
+        def column(c, a):  # the reversed column of m = c and x = a
+            return K - 1 - (c * n + a)
+    else:
+        d, _, (sa, sv) = M.free
+        acts, size, step = N.left, dn, sv * dn
+        base = [a * sa * dn + j for a in range(n) for j in range(dn)]
+        K = n * dn
+
+        def column(c, a):  # the reversed column of j = c and a
+            return K - 1 - (a * dn + c)
+    # W with its columns in descending order, column k at K - 1 - k
+    den = lcm(1, *(X.den for X in acts))
+    W = Echelon(F, K)
+    for i in range(size):
+        W.insert({column(c, a): v * (den // X.den)
+                  for a, X in enumerate(acts) for c, v in X.ints[i].items()})
+    # W_k is the sum, over the stored rows r that hold K - 1 - k, of
+    # r[K - 1 - k] / r[p] times W at the free k of the pivot p
+    terms: dict[int, list] = {}
+    for p, ridx in W.pivots.items():
+        r = W.int_rows[ridx]
+        for j, v in r.items():
+            if j != p:
+                terms.setdefault(K - 1 - j, []).append((base[K - 1 - p], v, r[p]))
+    rows: dict[int, dict] = {}
+    for k in range(K):
+        if K - 1 - k in W.pivots:
+            continue
+        ts = terms.get(k, ())
+        if mod:
+            lead, coefs = 1, [(f, -v % mod) for f, v, _ in ts]
+        else:  # a primitive integer row with a positive pivot entry
+            lead = lcm(1, *(h for _, _, h in ts))
+            coefs = [(f, -v * (lead // h)) for f, v, h in ts]
+            g = gcd(lead, *(w for _, w in coefs))
+            lead, coefs = lead // g, [(f, w // g) for f, w in coefs]
+        for off in range(0, d * step, step):
+            row = {base[k] + off: lead}
+            for f, w in coefs:
+                row[f + off] = w
+            rows[base[k] + off] = row
+    return Echelon._of_rows(F, dm * dn, rows)
 
 
 class QuotientMap:

@@ -66,6 +66,24 @@ class Echelon:
         self._values: list[Row] | None = None  # field values of int_rows over Q
         self._holders: dict[int, list[int]] = {}  # column -> stored rows that may hold it
 
+    @classmethod
+    def _of_rows(cls, field: Field, ncols: int, rows: dict[int, Row]) -> "Echelon":
+        """The echelon storing `rows`, keyed by pivot, in pivot order: each
+        row must already be in the form `insert` stores (the caller proves
+        it), and `_holders` lists the rows at their non-pivot columns so
+        that later inserts clear them."""
+        ech = cls(field, ncols)
+        holders, stored = ech._holders, ech.int_rows
+        for p in sorted(rows):
+            r = rows[p]
+            ridx = len(stored)
+            for j in r:
+                if j != p:
+                    holders.setdefault(j, []).append(ridx)
+            ech.pivots[p] = ridx
+            stored.append(r)
+        return ech
+
     @property
     def rank(self) -> int:
         return len(self.int_rows)

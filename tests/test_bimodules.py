@@ -522,6 +522,30 @@ def test_audit_catches_scaled_tensor(m2):
     assert entries(report) == SCALED_REGULAR3
 
 
+SCALED_SQUARE_SQUARE_REGULAR = [
+    ("well_defined[M,N]", True, None),
+    ("well_defined[M,P]", True, None),
+    ("braiding_bijective", True, None),
+    ("braiding_bimodule_map", True, None),
+    ("symmetry", False, "c(N,M)c(M,N) != id"),
+    ("associator_roundtrip", True, None),
+    ("hexagon1", False, "c(M(x)N,P) differs from the two-step braiding"),
+    ("hexagon2", False, "c(M,N(x)P) differs from the two-step braiding"),
+    ("naturality", True, None),
+]
+
+
+@pytest.mark.parametrize("name", ["M2/Q", "H(-1,-1)/GF(7)"])
+def test_scaled_square_audit_report_pinned(name):
+    # 2R keeps every braiding well defined, c1 being linear in R, but
+    # breaks the symmetry and both hexagons: the failing comparisons run
+    # on quotients whose relation echelons a builder factor gives
+    A, cert = solved(name)
+    S = square_bimodule(A)
+    report = audit_braiding(scaled_cert(A, cert.r), S, S, regular_bimodule(A))
+    assert entries(report) == SCALED_SQUARE_SQUARE_REGULAR
+
+
 def fresh_copy(M):
     """A distinct Bimodule with the same matrices and label, which the
     audit maps back to the first equal operand."""

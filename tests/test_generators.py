@@ -1,9 +1,11 @@
 """One generating set per algebra: Light's associativity test and the
 fixed-point eliminations over generators, each against the all-basis
 computation it replaces."""
+import json
 from fractions import Fraction
+from pathlib import Path
 
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from rbraid import (
     GF,
@@ -27,7 +29,9 @@ from rbraid import (
     tensor_over_A,
     validate_algebra,
 )
-from rbraid.bimodules import extended_invariants
+from rbraid import bimodules
+from rbraid.bimodules import _kernel_basis, extended_invariants
+from rbraid.cli import build_algebra_from_spec
 from rbraid.linalg import _difference_echelon, _nullspace_ints, nullspace_from_echelon
 from rbraid.rmatrix import pair_invariant_basis
 from conftest import dense_table
@@ -226,9 +230,15 @@ def all_basis_invariants(M):
                                                       zip(M.left, M.right)))
 
 
-def all_basis_tensor(M, N):
+def all_basis_echelon(M, N):
+    """The relation echelon of M (x)_A N, eliminated over every basis
+    element of A."""
     pairs = [(M.right[i].transpose(), N.left[i].transpose()) for i in range(M.algebra.dim)]
-    return state(_difference_echelon(M.algebra.field, M.dim * N.dim, pairs, q=N.dim))
+    return _difference_echelon(M.algebra.field, M.dim * N.dim, pairs, q=N.dim)
+
+
+def all_basis_tensor(M, N):
+    return state(all_basis_echelon(M, N))
 
 
 def all_basis_extended(M):
@@ -283,6 +293,61 @@ def test_unlawful_bimodule_keeps_all_basis_rows():
     assert state(tensor_over_A(bad, reg)._ech) == all_basis_tensor(bad, reg)
     assert state(tensor_over_A(reg, bad)._ech) == all_basis_tensor(reg, bad)
     assert not tensor_over_A(reg, bad).bimodule.lawful
+
+
+DENSE_M2 = build_algebra_from_spec(json.loads(
+    (Path(__file__).parent / "data" / "m2_unitriangular.json").read_text()))
+
+
+@settings(max_examples=25)
+@given(A=changed_builders())
+@example(A=DENSE_M2)
+def test_quotient_partner_eliminations_match_all_basis(A):
+    # a builder factor reads the relation echelon off its free basis,
+    # whatever lawful partner it meets: here a quotient bimodule, on
+    # either side, whose actions are dense in its own coordinates
+    reg, free2 = regular_bimodule(A), free_bimodule(A, 2)
+    builders = [reg, square_bimodule(A), free2] if A.dim <= 4 else [reg, free2]
+    quotient = tensor_over_A(free2, reg).bimodule
+    assert quotient.lawful and quotient.free is None
+    for M, N in [(B, quotient) for B in builders] + [(quotient, B) for B in builders]:
+        q, expected = tensor_over_A(M, N), all_basis_echelon(M, N)
+        assert state(q._ech) == state(expected)
+        assert q.projection == _kernel_basis(expected)
+
+
+def test_free_echelon_needs_every_guard(monkeypatch):
+    # a hand-built copy of a builder (its label is no layout), an operand
+    # that breaks the laws and an algebra that fails validation each
+    # eliminate, and still give the all-basis echelon; builders over a
+    # validated algebra do not eliminate
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return _difference_echelon(*args, **kwargs)
+
+    monkeypatch.setattr(bimodules, "_difference_echelon", counted)
+    A = build_matrix_algebra(2, QQ)
+    S, reg = square_bimodule(A), regular_bimodule(A)
+    copy = Bimodule(A, list(S.left), list(S.right), "square", lawful=True)
+    # the operand of `test_unlawful_bimodule_keeps_all_basis_rows`
+    zero = Matrix.zeros(QQ, 2, 2)
+    bad = Bimodule(A, [zero, zero, zero, Matrix(QQ, 2, 2, [{0: QQ.one}, {}])], [zero] * 4, "bad")
+    # M2's table with the unit e_00 alone, which is no two-sided unit
+    ununital = Algebra(QQ, dense_table(A), [QQ.one, QQ.zero, QQ.zero, QQ.zero], label="ununital")
+    assert not validate_algebra(ununital)["unit"].passed
+    ureg = regular_bimodule(ununital)
+    assert ureg.lawful and ureg.free is not None
+    for M, N in [(copy, copy), (copy, tensor_over_A(reg, reg).bimodule), (bad, reg),
+                 (reg, bad), (ureg, ureg), (ureg, square_bimodule(ununital))]:
+        before = len(calls)
+        assert state(tensor_over_A(M, N)._ech) == all_basis_tensor(M, N)
+        assert len(calls) == before + 1
+    before = len(calls)
+    tensor_over_A(S, reg)
+    tensor_over_A(reg, copy)
+    assert len(calls) == before
 
 
 def test_passing_check_bimodule_marks_lawful():
