@@ -43,20 +43,21 @@ from rbraid import (
     zeta_map,
 )
 from rbraid import bimodules
+from rbraid.algebra import _expand
 from rbraid.bimodules import (
     QuotientMap,
     QuotientSpace,
     _KronChain,
     _closed_naturality,
-    _closed_product,
+    _hstack,
     _r_operator,
-    _square_braiding,
     associator,
     extended_invariants,
     induced_map,
     is_bimodule_map,
 )
 from rbraid.checks import CheckReport
+from rbraid.linalg import _reduced
 from rbraid.rmatrix import RMatrixCertificate
 from rbraid.cli import build_algebra_from_spec
 from rbraid.errors import NotWellDefined, RBraidError, ShapeMismatch
@@ -625,7 +626,7 @@ def test_audit_builds_each_map_once(monkeypatch):
     for name, keys in calls.items():
         assert len(keys) == len(set(keys)), name
     # 2 whiskered braidings and the induced map inside each of the 3
-    # braidings; naturality runs on A (x) A (x) A, with no induced map
+    # braidings; naturality follows from its guards, with no induced map
     # and no canonical morphism
     assert {name: len(keys) for name, keys in calls.items()} == {
         "associator": 2, "induced_map": 5, "braiding_map": 3, "canonical_morphism": 0}
@@ -866,10 +867,12 @@ def test_bimodule_map_scans_every_index_when_unlawful():
 
 # -- naturality on S (x)_A S = A (x) A (x) A -----------------------------------
 #
-# The references below write the identification Q: (x (x) y) (x) (z (x) w)
-# -> x (x) yz (x) w and the representatives (x (x) y) (x) (1 (x) w) in field
-# values, from `mul_coords`, and compare the closed forms with the
-# eliminated quotient S (x)_A S that the ambient path builds.
+# The audit decides naturality from its guards (proof at `audit_braiding`).
+# The references below compare the maps it no longer builds: on the
+# eliminated quotient S (x)_A S, and in closed form on A (x) A (x) A, which
+# the identification Q: (x (x) y) (x) (z (x) w) -> x (x) yz (x) w and the
+# representatives (x (x) y) (x) (1 (x) w), written in field values from
+# `mul_coords`, tie to it.
 
 
 def collapse_reference(A):
@@ -904,6 +907,52 @@ def representatives_reference(A):
 def relations_of(q):
     return Matrix(q.field, len(q.relation_rows()), q.ambient_dim,
                   [dict(r) for r in q.relation_rows()])
+
+
+def closed_square_braiding(cert):
+    """c(S,S) on A (x) A (x) A, with x (x) y (x) w at (x*n + y)*n + w:
+    x (x) y (x) w -> sum R1 (x) w R2 x (x) y R3, about nnz(R) n^3 table
+    products."""
+    A = cert.algebra
+    n = A.dim
+    prods, mod, scale = A._int_products()
+    by_right = [[prods[m][k] for m in range(n)] for k in range(n)]  # e_m e_k by k, m
+    by_middle = {}
+    for (i, j, k), c in cert.r.ints.items():
+        by_middle.setdefault(j, []).append((i, k, c))
+    rows = [{} for _ in range(n ** 3)]
+    for j, terms in by_middle.items():
+        for w in range(n):
+            # (e_w R2) e_x for each x, on scale**2
+            mids = [(x, list(_expand(prods[w][j], by_right[x], mod).items())) for x in range(n)]
+            for i, k, c in terms:
+                for y in range(n):
+                    for v, cv in prods[y][k]:  # y R3 = sum cv e_v
+                        cv *= c
+                        for x, mid in mids:
+                            col = (x * n + y) * n + w
+                            for u, cu in mid:
+                                out = rows[(i * n + u) * n + v]
+                                out[col] = out.get(col, 0) + cu * cv
+    return Matrix._of(A.field, n ** 3, n ** 3, [_reduced(r, mod) for r in rows],
+                      cert.r.den * scale ** 3)
+
+
+def closed_product(X, x, Y, y):
+    """f_x (x) f_y on A (x) A (x) A: x' (x) y' (x) w -> (x'.x.y') (x) (y.w),
+    projected into X (x)_A Y."""
+    F = Y.algebra.field
+    v = Matrix.from_columns(F, Y.dim, [list(y)])
+    yb = _hstack(F, [R @ v for R in Y.right])  # column j is y.e_j
+    return tensor_over_A(X, Y).projection @ _KronChain(
+        (canonical_morphism(X, x), Y.dim, False), (yb, X.algebra.dim ** 2, True))
+
+
+def naturality_samples(X):
+    """e_0 and the all-ones vector (only e_0 in dimension 1)."""
+    F = X.algebra.field
+    e0 = [F.one] + [F.zero] * (X.dim - 1)
+    return [e0] if X.dim == 1 else [e0, [F.one] * X.dim]
 
 
 @st.composite
@@ -942,12 +991,12 @@ def test_square_closed_form_matches_eliminated_quotient(A):
     assert (Q @ relations_of(q).transpose()).is_zero()
     assert Q.rank() == n ** 3 == q.dim
     T = Q @ q.section
-    assert _square_braiding(cert) @ T == T @ braiding_map(cert, S, S).matrix
+    assert closed_square_braiding(cert) @ T == T @ braiding_map(cert, S, S).matrix
     # on any tensor, valid or not, the closed form is Q c sigma, c being
     # the ambient operator m (x) n -> R1.n.R2 (x) m.R3
     bad = RMatrixCertificate(A, cert.r + unit_tensor(A, 3), CheckReport([]))
     for c in (cert, bad):
-        assert _square_braiding(c) == (
+        assert closed_square_braiding(c) == (
             Q @ _r_operator(c, S, S.right) @ representatives_reference(A))
 
 
@@ -963,19 +1012,12 @@ def eliminated_product(X, x, Y, y, what):
 def eliminated_naturality(cert, M, N, c_mn):
     """Reference: the naturality comparison on the eliminated S (x)_A S,
     with the n^4-dimensional ambient, as the audit once ran it; the
-    (verdict, witness) it gives, a failed build's witness included.  The
-    samples are e_0 and the all-ones vector (only e_0 in dimension 1)."""
-    F = cert.algebra.field
+    (verdict, witness) it gives, a failed build's witness included."""
     S = square_bimodule(cert.algebra)
-
-    def samples(X):
-        e0 = [F.one] + [F.zero] * (X.dim - 1)
-        return [e0] if X.dim == 1 else [e0, [F.one] * X.dim]
-
     try:
         c_square = braiding_map(cert, S, S).matrix
-        for mi, mvec in enumerate(samples(M)):
-            for ni, nvec in enumerate(samples(N)):
+        for mi, mvec in enumerate(naturality_samples(M)):
+            for ni, nvec in enumerate(naturality_samples(N)):
                 fg = eliminated_product(M, mvec, N, nvec, "f_m (x) g_n")
                 gf = eliminated_product(N, nvec, M, mvec, "g_n (x) f_m")
                 if gf @ c_square != c_mn @ fg:
@@ -985,8 +1027,20 @@ def eliminated_naturality(cert, M, N, c_mn):
     return True, None
 
 
-def closed_result(cert, M, N, c_mn):
-    result = _closed_naturality(cert, M, N, c_mn)
+def closed_comparison(cert, M, N, c_mn):
+    """Reference: the same comparison on A (x) A (x) A, as the audit ran
+    it after its guards; the (verdict, witness) it gives."""
+    c_square = closed_square_braiding(cert)
+    for mi, mvec in enumerate(naturality_samples(M)):
+        for ni, nvec in enumerate(naturality_samples(N)):
+            if (closed_product(N, nvec, M, mvec) @ c_square
+                    != c_mn @ closed_product(M, mvec, N, nvec)):
+                return False, f"square fails for samples (m{mi}, n{ni})"
+    return True, None
+
+
+def closed_result(cert, M, N):
+    result = _closed_naturality(cert, M, N)
     return result.passed, result.witness
 
 
@@ -1013,7 +1067,7 @@ def test_closed_products_are_projected_ambient_products(name, m, n, seed):
     for X, Y in ((M, N), (bent, N)):
         x, y = ([F.coerce(rng.randrange(-2, 3)) for _ in range(Z.dim)] for Z in (X, Y))
         f, g = canonical_morphism(X, x), canonical_morphism(Y, y)
-        closed = _closed_product(X, x, Y, y)
+        closed = closed_product(X, x, Y, y)
         assert closed == tensor_over_A(X, Y).projection @ f.kron(g) @ sigma
         if X is M:
             assert closed @ T == eliminated_product(X, x, Y, y, "f (x) g")
@@ -1024,33 +1078,34 @@ def test_closed_naturality_needs_every_guard(m2, cert):
     # reference means something, and "not evaluated" where it does not
     reg = regular_bimodule(m2)
     c = braiding_map(cert, reg, reg).matrix
-    assert closed_result(cert, reg, reg, c) == eliminated_naturality(cert, reg, reg, c) == (
+    assert closed_result(cert, reg, reg) == eliminated_naturality(cert, reg, reg, c) == (
         True, None)
     # R + 1 (x) 1 (x) 1 fails c1, whatever its report says, and its
     # c(S,S) does not preserve the balancing relations
     r = cert.r + unit_tensor(m2, 3)
     assert not verify_rmatrix(m2, r)["c1"].passed
     bad = RMatrixCertificate(m2, r, cert.checks)
-    assert closed_result(bad, reg, reg, c) == eliminated_naturality(bad, reg, reg, c) == (
+    assert closed_result(bad, reg, reg) == eliminated_naturality(bad, reg, reg, c) == (
         False, "braiding does not preserve the balancing relations")
     # an operand that does not claim the laws passes check_bimodule, is
-    # marked lawful and compared as the lawful one, also where c(M,N) is
-    # perturbed and the comparison fails
-    bumped = c + Matrix.identity(QQ, c.nrows)
+    # marked lawful and gets the lawful one's verdict
     for side in (0, 1):
-        for c_mn in (c, bumped):
-            operands = [reg, reg]
-            operands[side] = Bimodule(m2, list(reg.left), list(reg.right), "regular")
-            assert closed_result(cert, *operands, c_mn) == closed_result(cert, reg, reg, c_mn)
-            assert operands[side].lawful
-    assert closed_result(cert, reg, reg, bumped) == eliminated_naturality(cert, reg, reg, bumped)
+        operands = [reg, reg]
+        operands[side] = Bimodule(m2, list(reg.left), list(reg.right), "regular")
+        assert closed_result(cert, *operands) == closed_result(cert, reg, reg)
+        assert operands[side].lawful
+    # both references fail alike on c(M,N) perturbed by the identity
+    bumped = c + Matrix.identity(QQ, c.nrows)
+    assert closed_comparison(cert, reg, reg, bumped) == (
+        eliminated_naturality(cert, reg, reg, bumped)) == (
+        False, "square fails for samples (m0, n0)")
     # an operand that fails check_bimodule is not evaluated
     right = list(reg.right)
     right[-1] = right[-1] + Matrix.identity(QQ, reg.dim)
     for side, name in ((0, "M"), (1, "N")):
         operands = [reg, reg]
         operands[side] = Bimodule(m2, list(reg.left), right, "bent")
-        assert closed_result(cert, *operands, c) == (
+        assert closed_result(cert, *operands) == (
             False, f"not evaluated: {name} is not a bimodule")
         assert not operands[side].lawful
     # nor is an algebra that fails the unit laws, where c1 holds and the
@@ -1060,8 +1115,7 @@ def test_closed_naturality_needs_every_guard(m2, cert):
     r = TensorElement.from_terms(doubled, 3, [((0, 0, 0), QQ.one)])
     assert verify_rmatrix(doubled, r)["c1"].passed
     one = regular_bimodule(doubled)
-    assert closed_result(RMatrixCertificate(doubled, r, CheckReport([])), one, one,
-                         Matrix.identity(QQ, 1)) == (
+    assert closed_result(RMatrixCertificate(doubled, r, CheckReport([])), one, one) == (
         False, "not evaluated: the algebra fails validation")
 
 
@@ -1072,14 +1126,14 @@ def test_c1_failure_is_the_ill_defined_square_braiding(A, digits, delta):
     # R moved at one monomial fails c1 on every algebra here of dimension
     # above 1 (A e_i is never one-dimensional), and the closed result's
     # witness is the text the eliminated c(S,S) raises; where c1 holds,
-    # c(S,S) is well defined and the witness is another
+    # c(S,S) is well defined and naturality passes
     F, n = A.field, A.dim
     cert = solve_rmatrix(A)
     digits = tuple(d % n for d in digits)
     r = with_coefficient(cert.r, digits, F.add(cert.r.coefficient(digits), F.coerce(delta)))
     bad = RMatrixCertificate(A, r, cert.checks)
     reg = regular_bimodule(A)
-    passed, witness = closed_result(bad, reg, reg, braiding_map(cert, reg, reg).matrix)
+    passed, witness = closed_result(bad, reg, reg)
     S = square_bimodule(A)
     if n > 1 or witness == "braiding does not preserve the balancing relations":
         with pytest.raises(NotWellDefined) as raised:
@@ -1087,6 +1141,7 @@ def test_c1_failure_is_the_ill_defined_square_braiding(A, digits, delta):
         assert (passed, witness) == (False, str(raised.value))
     else:
         braiding_map(bad, S, S)
+        assert (passed, witness) == (True, None)
 
 
 def lawful_copy(M):
@@ -1101,36 +1156,57 @@ def lawful_copy(M):
     ("dense M2/GF(7)", ("free:2", "regular", "square")),
     ("M2/GF(5)", ("square", "free:3", "regular")),
 ])
-def test_closed_and_ambient_naturality_agree(monkeypatch, name, kinds):
-    # the audit's naturality, decided on A (x) A (x) A, gives the verdict
-    # and witness of the comparison on the eliminated quotient: for the
-    # valid braiding, and for c(M,N) perturbed by the identity, which
-    # fails at the first sample pair whose f_m (x) g_n is nonzero
+def test_closed_and_ambient_naturality_agree(name, kinds):
+    # the audit's naturality verdict is the comparison on the eliminated
+    # quotient for the real c(M,N), and that reference still detects a map
+    # that is not natural: c(M,N) perturbed by the identity fails at the
+    # first sample pair whose f_m (x) g_n is nonzero, and the comparison
+    # on A (x) A (x) A agrees with it on both maps
     A, cert = solved(name)
     F = A.field
     operands = [lawful_copy(bimodule_of(A, kind)) for kind in kinds]
     M, N = operands[0], operands[1]
     if N.left == M.left and N.right == M.right:
         N = M  # as the audit replaces it
-    c = braiding_map(cert, M, N).matrix
-    assert closed_result(cert, M, N, c) == eliminated_naturality(cert, M, N, c) == (True, None)
     report = audit_braiding(cert, *operands)
     assert report.passed, report.failures
-
-    original, built = bimodules.braiding_map, []
-
-    def perturbed(cert, X, Y):
-        c = original(cert, X, Y)
-        if not built:  # c(M,N), the audit's first braiding
-            bad = c.matrix + Matrix.identity(F, c.matrix.nrows)
-            c = QuotientMap(c.source, c.target, bad)
-            built.append(bad)
-        return c
-
-    with monkeypatch.context() as patch:
-        patch.setattr(bimodules, "braiding_map", perturbed)
-        failing = audit_braiding(cert, *operands)
-    reference = eliminated_naturality(cert, M, N, built[0])
+    c = braiding_map(cert, M, N).matrix
+    verdict = report["naturality"].passed, report["naturality"].witness
+    assert verdict == eliminated_naturality(cert, M, N, c) == closed_comparison(cert, M, N, c)
+    bumped = c + Matrix.identity(F, c.nrows)
+    reference = eliminated_naturality(cert, M, N, bumped)
     assert not reference[0] and reference[1].startswith("square fails for samples")
-    assert (failing["naturality"].passed, failing["naturality"].witness) == reference
-    assert closed_result(cert, M, N, built[0]) == reference
+    assert closed_comparison(cert, M, N, bumped) == reference
+
+
+AUDITED_TRIPLES = [("square", "square", "regular"), ("regular", "regular", "regular")]
+
+
+@settings(max_examples=25, deadline=None)
+@given(separable_builders(), st.one_of(st.none(), st.lists(st.integers(-2, 2), min_size=4,
+                                                             max_size=4)),
+       st.sampled_from(AUDITED_TRIPLES))
+@example(dense_m2(), [1, 0, -1, 2], AUDITED_TRIPLES[0])
+def test_audit_verdicts_follow_from_the_axioms(A, b, kinds):
+    # R' = 2R (b is None) or sum bR1 (x) R2 (x) R3 keeps c1, since
+    # bR1 a = b(R1 a), and may break every other axiom; the audit's
+    # verdicts obey the implications that its proofs rest on: c1 makes
+    # every braiding well defined and naturality pass, as the eliminated
+    # comparison confirms, and c1, c2 and c3 make c(M,N) a bimodule map
+    F = A.field
+    r = solve_rmatrix(A).r
+    if b is None:
+        r = r.scale(F.coerce(2))
+    else:
+        r = r.act_leg(1, A.element([F.coerce(v) for v in b[:A.dim]]), "left")
+    checks = verify_rmatrix(A, r)
+    cert = RMatrixCertificate(A, r, checks)
+    M, N, P = (bimodule_of(A, kind) for kind in kinds)
+    report = audit_braiding(cert, M, N, P)
+    assert checks["c1"].passed
+    assert all(res.passed for res in report if res.name.startswith("well_defined["))
+    c = braiding_map(cert, M, N).matrix
+    verdict = report["naturality"].passed, report["naturality"].witness
+    assert verdict == eliminated_naturality(cert, M, N, c) == (True, None)
+    if checks["c2"].passed and checks["c3"].passed:
+        assert report["braiding_bimodule_map"].passed

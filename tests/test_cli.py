@@ -360,7 +360,7 @@ def test_audit_limit_needs_force(tmp_path, capsys, monkeypatch):
     assert code == 0 and report["status"] == "pass"
 
 
-NATURALITY_REFUSED = {
+LARGE_DEFAULT_AUDITS = {
     "M4": {"kind": "matrix", "n": 4},
     "HxH": {"kind": "tensor", "left": QUAT["algebra"], "right": QUAT["algebra"]},
     "M2xH": {"kind": "tensor", "left": M2["algebra"], "right": QUAT["algebra"]},
@@ -368,37 +368,27 @@ NATURALITY_REFUSED = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(NATURALITY_REFUSED))
+@pytest.mark.parametrize("name", sorted(LARGE_DEFAULT_AUDITS))
 def test_audit_naturality_limit_needs_force(tmp_path, capsys, monkeypatch, name):
-    # naturality works on (dim A)^3, which the product of the triple does
-    # not count: the default regular^3 triple of a dimension-16 algebra is
-    # 4096, at the triple limit, and that of M3 (+) k is 1000, but 16^3 =
-    # 4096 and 10^3 = 1000 are refused before the solve unless --force is
-    # given
-    algebra = NATURALITY_REFUSED[name]
+    # naturality follows from the audit's guards, so no limit on
+    # (dim A)^3 is left to lift with --force: the default regular^3 triple
+    # of a dimension-16 algebra, 16^3 = 4096, is at the triple limit and
+    # builds its three bimodules, and that of M3 (+) k gets to the solve
+    algebra = LARGE_DEFAULT_AUDITS[name]
     path = write(tmp_path, "a.json", {"field": {"kind": "Q"}, "algebra": algebra})
     built = stub_audit(monkeypatch)
-    monkeypatch.setattr(cli, "solve_rmatrix", refuse)
     code, report = run(capsys, "audit", path)
-    assert code == 2 and report["status"] == "error"
-    cube = 1000 if name == "M3+k" else 4096
-    assert report["error"] == (f"naturality works on (dim A)^3 = {cube}, over the audit limit "
-                               "729 (lift with --force)")
-    assert built == []
-    monkeypatch.undo()
-    built = stub_audit(monkeypatch)
-    code, report = run(capsys, "audit", path, "--force")
     if name == "M3+k":
-        # past the limit, the solve finds no R-matrix: the center of
-        # M3 (+) k is two-dimensional
+        # the solve finds no R-matrix: the center of M3 (+) k is
+        # two-dimensional
         assert code == 1 and report["status"] == "infeasible" and built == []
     else:
-        assert code == 0 and built == ["regular_bimodule"] * 3
+        assert code == 0 and report["status"] == "pass"
+        assert built == ["regular_bimodule"] * 3
 
 
 def test_audit_naturality_limit_admits_m3(tmp_path, capsys):
-    # M3's 9^3 = 729 is at the limit: its regular^3 audit still runs and
-    # passes every check
+    # M3's regular^3 audit, 9^3 = 729, runs and passes every check
     path = write(tmp_path, "m3.json", M3)
     code, report = run(capsys, "audit", path)
     assert code == 0 and report["status"] == "pass"
